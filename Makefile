@@ -1,7 +1,7 @@
 GO ?= go
 VET_BIN := bin/predata-vet
 
-.PHONY: all build test race fmt vet vet-fixtures bench-smoke trace-test elastic-soak adversary-soak restart-soak serve-soak evaluation clean
+.PHONY: all build test race fmt vet vet-fixtures bench-smoke perfbench-test trace-test elastic-soak adversary-soak restart-soak serve-soak evaluation clean
 
 all: build vet test
 
@@ -38,6 +38,12 @@ $(VET_BIN): $(shell find cmd/predata-vet internal/analysis -name '*.go' -not -pa
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
 
+# perfbench-test vets and tests the benchmark harness. perfbench/ is a
+# nested module (it replaces predata with the parent tree), so the
+# root's ./... patterns never reach it.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # trace-test runs the flight-recorder suite: trace unit + fuzz-seed
 # tests, the 64:1 trace-driven conformance tests (raced, shuffled), and
 # the trace overhead experiment (DESIGN.md §9).
@@ -48,7 +54,8 @@ trace-test:
 
 # elastic-soak runs the elasticity suite: autoscaler + xray driver
 # units, the resize/handoff/conservation tests (raced, shuffled —
-# includes a crash injected during a grow step), and the elastic
+# includes a crash injected during a grow step and the elastic x
+# {partition, restart, crashall} composition legs), and the elastic
 # experiment (DESIGN.md §11). CI repeats it across fault seeds 1/7/42.
 elastic-soak:
 	$(GO) test -race -shuffle=on -count=1 ./internal/elastic/ ./internal/apps/xray/

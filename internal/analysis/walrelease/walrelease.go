@@ -61,7 +61,7 @@ var spec = &dataflow.Spec{
 	Benign: func(info *types.Info, call *ast.CallExpr) bool {
 		fn := analysis.CalleeFunc(info, call)
 		for _, name := range []string{
-			"AppendChunk", "AppendRequest", "AppendCommit", "Sync",
+			"Append", "AppendChunk", "AppendRequest", "AppendCommit", "Sync",
 			"WriteCheckpoint", "Records", "Bytes", "Wall", "Dir",
 		} {
 			if analysis.MethodIs(fn, walPath, "Log", name) {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -241,64 +242,45 @@ func Restart(w io.Writer, jsonPath string) error {
 			r.Checkpoints, r.Restarts, r.WalReplayed, r.ReroutedDumps, r.DegradedDumps, r.DataLoss)
 	}
 
-	// The invariants the experiment exists to demonstrate.
+	// The invariants the experiment exists to demonstrate. Every check
+	// runs and the legs are written out even when some fail, so one
+	// broken invariant never hides another — or the numbers behind it.
+	var errs []error
+	check := func(ok bool, format string, args ...any) {
+		if !ok {
+			errs = append(errs, fmt.Errorf("bench: "+format, args...))
+		}
+	}
 	base, clean, bounce, crash, overload := rows[0], rows[1], rows[2], rows[3], rows[4]
-	if base.DataLoss != 0 || base.DegradedDumps != 0 {
-		return fmt.Errorf("bench: no-journal leg not clean: %+v", base)
-	}
+	check(base.DataLoss == 0 && base.DegradedDumps == 0, "no-journal leg not clean: %+v", base)
 	// Journaling must be invisible in the results and cheap on the clock.
-	if clean.DataLoss != 0 || clean.DegradedDumps != 0 {
-		return fmt.Errorf("bench: clean journal leg not lossless: %+v", clean)
-	}
-	if d := perDumpIdentical(results[0], results[1]); d >= 0 {
-		return fmt.Errorf("bench: journaling changed dump %d's census", d)
-	}
-	if clean.WalRecords == 0 || clean.WalBytes == 0 {
-		return fmt.Errorf("bench: clean journal leg appended nothing: %+v", clean)
-	}
-	if wantCkpt := int64(advStaging * advDumps / 2); clean.Checkpoints != wantCkpt {
-		return fmt.Errorf("bench: clean leg cut %d checkpoints, want %d", clean.Checkpoints, wantCkpt)
-	}
-	if clean.JournalPct >= 10 {
-		return fmt.Errorf("bench: journal overhead %.2f%% of dump wall-clock, budget is <10%%", clean.JournalPct)
-	}
+	check(clean.DataLoss == 0 && clean.DegradedDumps == 0, "clean journal leg not lossless: %+v", clean)
+	d := perDumpIdentical(results[0], results[1])
+	check(d < 0, "journaling changed dump %d's census", d)
+	check(clean.WalRecords != 0 && clean.WalBytes != 0, "clean journal leg appended nothing: %+v", clean)
+	wantCkpt := int64(advStaging * advDumps / 2)
+	check(clean.Checkpoints == wantCkpt, "clean leg cut %d checkpoints, want %d", clean.Checkpoints, wantCkpt)
+	check(clean.JournalPct < 10, "journal overhead %.2f%% of dump wall-clock, budget is <10%%", clean.JournalPct)
 	// The bounce reroutes its writers and rejoins without losing a value.
-	if bounce.DataLoss != 0 {
-		return fmt.Errorf("bench: single restart leg lost %d values across the bounce", bounce.DataLoss)
-	}
-	if bounce.Restarts != 1 || bounce.ReroutedDumps == 0 {
-		return fmt.Errorf("bench: single restart leg did not bounce and reroute: %+v", bounce)
-	}
+	check(bounce.DataLoss == 0, "single restart leg lost %d values across the bounce", bounce.DataLoss)
+	check(bounce.Restarts == 1 && bounce.ReroutedDumps != 0, "single restart leg did not bounce and reroute: %+v", bounce)
 	// The whole-service crash replays back bit-identical: no degradation
 	// anywhere, every rank rebuilt, the crashed dump's chunks replayed.
-	if crash.DataLoss != 0 || crash.DegradedDumps != 0 {
-		return fmt.Errorf("bench: crashall leg must replay losslessly: %+v", crash)
-	}
-	if d := perDumpIdentical(results[0], results[3]); d >= 0 {
-		return fmt.Errorf("bench: crashall replay diverged from the baseline at dump %d", d)
-	}
-	if crash.Restarts != int64(advStaging) {
-		return fmt.Errorf("bench: crashall rebuilt %d ranks, want %d", crash.Restarts, advStaging)
-	}
-	if crash.WalReplayed != int64(advCompute) {
-		return fmt.Errorf("bench: crashall replayed %d chunks, want %d", crash.WalReplayed, advCompute)
-	}
+	check(crash.DataLoss == 0 && crash.DegradedDumps == 0, "crashall leg must replay losslessly: %+v", crash)
+	d = perDumpIdentical(results[0], results[3])
+	check(d < 0, "crashall replay diverged from the baseline at dump %d", d)
+	check(crash.Restarts == int64(advStaging), "crashall rebuilt %d ranks, want %d", crash.Restarts, advStaging)
+	check(crash.WalReplayed == int64(advCompute), "crashall replayed %d chunks, want %d", crash.WalReplayed, advCompute)
 	// The flight recording must prove it: replays matched to journal
 	// appends byte-for-byte and no chunk reduced by two incarnations.
-	rep, err := trace.Verify(recorders[3].Snapshot())
-	if err != nil {
-		return fmt.Errorf("bench: crashall leg failed trace verification: %w", err)
-	}
-	if rep.WALChecks == 0 || rep.RestartChecks == 0 {
-		return fmt.Errorf("bench: crashall recording ran no WAL/restart checks: %+v", rep)
+	if rep, err := trace.Verify(recorders[3].Snapshot()); err != nil {
+		check(false, "crashall leg failed trace verification: %w", err)
+	} else {
+		check(rep.WALChecks != 0 && rep.ExclusivityChecks != 0, "crashall recording ran no WAL/restart checks: %+v", rep)
 	}
 	// Bouncing under a starved flow controller may shed, but only loudly.
-	if overload.Restarts != 1 {
-		return fmt.Errorf("bench: overloaded restart leg did not bounce: %+v", overload)
-	}
-	if overload.DataLoss != 0 && overload.DegradedDumps == 0 {
-		return fmt.Errorf("bench: overloaded restart leg lost %d values silently", overload.DataLoss)
-	}
+	check(overload.Restarts == 1, "overloaded restart leg did not bounce: %+v", overload)
+	check(overload.DataLoss == 0 || overload.DegradedDumps != 0, "overloaded restart leg lost %d values silently", overload.DataLoss)
 
 	if jsonPath != "" {
 		doc, err := json.MarshalIndent(RestartSummary{
@@ -311,6 +293,9 @@ func Restart(w io.Writer, jsonPath string) error {
 			return fmt.Errorf("bench: write restart json: %w", err)
 		}
 		fmt.Fprintf(w, "\nrestart legs written to %s\n", jsonPath)
+	}
+	if len(errs) > 0 {
+		return errors.Join(errs...)
 	}
 	fmt.Fprintf(w, "\nbounced ranks rejoin from their journals, a whole-service crash replays back bit-identical, journaling costs under a tenth of the dump — no silent loss anywhere\n")
 	return nil

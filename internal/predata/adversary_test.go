@@ -17,7 +17,7 @@ import (
 // tentpole's: every dump's Reduce output is either bit-identical to the
 // fault-free run or explicitly marked Degraded — never silently wrong —
 // and the recording passes every trace.Verify rule, including the
-// corruption-quarantine, heal-exclusivity and hedge-resolution checks.
+// corruption-quarantine, at-most-once and hedge-resolution checks.
 
 const (
 	advCompute = 8
@@ -155,7 +155,7 @@ func TestAdversarySoak(t *testing.T) {
 				if !hasPhase(rec, trace.PhaseProbe) || !hasPhase(rec, trace.PhaseHeal) {
 					t.Error("fence window left no probe/heal trace events")
 				}
-				if vrep.HealChecks == 0 {
+				if vrep.ExclusivityChecks == 0 {
 					t.Errorf("heal recorded but exclusivity unchecked: %+v", vrep)
 				}
 			})
@@ -319,7 +319,9 @@ func TestHedgingDisabledByNegativeFactor(t *testing.T) {
 }
 
 // TestPartitionPlanValidation: partition endpoints must exist in the
-// job, and the elastic path rejects partition plans outright.
+// job — on the elastic path too, which shares the pipeline's plan
+// validation (and composes with in-job partitions: see
+// TestElasticPartitionFenceHeal).
 func TestPartitionPlanValidation(t *testing.T) {
 	plan, err := faults.ParsePlan("partition:99|8,9@1-2", 1)
 	if err != nil {
@@ -330,15 +332,10 @@ func TestPartitionPlanValidation(t *testing.T) {
 	}, chaoticCompute(1, 1), countOps); err == nil {
 		t.Error("partition endpoint outside the job accepted")
 	}
-
-	inside, err := faults.ParsePlan(advPartition, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, _, err := RunElastic(PipelineConfig{
-		NumCompute: advCompute, NumStaging: advStaging, Dumps: 1, FaultPlan: &inside,
+		NumCompute: advCompute, NumStaging: advStaging, Dumps: 1, FaultPlan: &plan,
 	}, ElasticConfig{Policy: elastic.Policy{Min: 1, Max: 1}},
 		chaoticCompute(1, 1), countOps); err == nil {
-		t.Error("elastic run accepted a partition plan")
+		t.Error("elastic run accepted a partition endpoint outside the job")
 	}
 }

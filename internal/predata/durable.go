@@ -60,26 +60,28 @@ func (s *Server) journalRequest(req FetchRequest) error {
 	if err != nil {
 		return err
 	}
-	if err := s.cfg.Journal.AppendRequest(req.WriterRank, req.Timestep, blob); err != nil {
-		return fmt.Errorf("predata: journaling request from rank %d: %w", req.WriterRank, err)
-	}
-	s.cfg.Tracer.Instant(trace.PhaseJournal, s.cfg.Endpoint.ID(), -1,
-		req.Timestep, int64(req.WriterRank), int64(crc32.ChecksumIEEE(blob)))
-	return nil
+	return s.journal(wal.KindRequest, req, blob)
 }
 
-// journalChunk appends one pulled chunk's packed bytes. The PhaseJournal
-// Arg carries the payload CRC, which trace.Verify matches against the
-// corresponding PhaseWalReplay after a restart. No-op without a journal.
+// journalChunk appends one pulled chunk's packed bytes. No-op without a
+// journal.
 func (s *Server) journalChunk(req FetchRequest, buf []byte) error {
 	if s.cfg.Journal == nil {
 		return nil
 	}
-	if err := s.cfg.Journal.AppendChunk(req.WriterRank, req.Timestep, buf); err != nil {
-		return fmt.Errorf("predata: journaling chunk from rank %d: %w", req.WriterRank, err)
+	return s.journal(wal.KindChunk, req, buf)
+}
+
+// journal appends one record and stamps PhaseJournal with the payload
+// CRC the journal framed it under — the checksum trace.Verify matches
+// against the corresponding PhaseWalReplay after a restart.
+func (s *Server) journal(kind wal.Kind, req FetchRequest, payload []byte) error {
+	crc, err := s.cfg.Journal.Append(wal.Record{Kind: kind, Writer: req.WriterRank, Timestep: req.Timestep, Payload: payload})
+	if err != nil {
+		return fmt.Errorf("predata: journaling rank %d's dump %d record: %w", req.WriterRank, req.Timestep, err)
 	}
 	s.cfg.Tracer.Instant(trace.PhaseJournal, s.cfg.Endpoint.ID(), -1,
-		req.Timestep, int64(req.WriterRank), int64(crc32.ChecksumIEEE(buf)))
+		req.Timestep, int64(req.WriterRank), int64(crc))
 	return nil
 }
 
@@ -264,6 +266,30 @@ func (s *Server) IngestDump(timestep int64) (*DumpStats, error) {
 	return stats, nil
 }
 
+// absorbIngest folds the costs a crashed incarnation paid during
+// IngestDump — the movement half of a crashall drill — into the ledger
+// of the dump ReplayDump finished. A nil ist (no drill) is a no-op.
+func (st *DumpStats) absorbIngest(ist *DumpStats, r *staging.Result) {
+	if ist == nil {
+		return
+	}
+	st.Requests = ist.Requests
+	st.Redistributed = ist.Redistributed
+	st.BytesPulled += ist.BytesPulled
+	st.PullModeled += ist.PullModeled
+	st.Retries += ist.Retries
+	st.CorruptPulls += ist.CorruptPulls
+	st.HedgedPulls += ist.HedgedPulls
+	st.HedgeWins += ist.HedgeWins
+	st.GatherWall = ist.GatherWall
+	if ist.Drops > 0 || ist.CorruptDrops > 0 {
+		st.Drops += ist.Drops
+		st.CorruptDrops += ist.CorruptDrops
+		r.Degraded = true
+		st.Degraded = true
+	}
+}
+
 // ReplayDump finishes a dump out of the journal: the recovered requests
 // supply the piggybacked partials for the (collective) exchange, and the
 // recovered chunk records feed a fresh stone graph in ChunkOrder — no
@@ -400,9 +426,7 @@ func (s *Server) ReplayDump(timestep int64, ops []staging.Operator) (*staging.Re
 	if cerr := s.commitDump(timestep); cerr != nil {
 		return nil, stats, cerr
 	}
-	res.Degraded = res.Degraded || stats.Drops > 0 || stats.CorruptDrops > 0 ||
-		(s.cfg.Faults != nil &&
-			len(activeStagingAt(s.cfg.Faults, s.cfg.StagingBase, s.cfg.NumStaging, timestep)) < s.cfg.NumStaging)
+	res.Degraded = res.Degraded || stats.Drops > 0 || stats.CorruptDrops > 0 || s.views.degradedAt(timestep)
 	stats.Degraded = res.Degraded
 	return res, stats, nil
 }

@@ -2,19 +2,14 @@ package predata
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"predata/internal/dataspaces"
 	"predata/internal/elastic"
-	"predata/internal/fabric"
 	"predata/internal/flowctl"
 	"predata/internal/mpi"
-	"predata/internal/staging"
 	"predata/internal/trace"
 )
 
@@ -81,22 +76,18 @@ type ScaleReport struct {
 
 // RunElastic executes computeFn on NumCompute ranks against an elastic
 // staging pool: NumStaging ranks are provisioned, but each dump is
-// served by the active subset the autoscaler chose at the previous
-// boundary. Grows widen the serving communicator onto parked reserve
-// ranks via the crash-recovery rehash path; shrinks retire ranks by
-// drain-then-Split (the departing rank finishes its dump — leases
-// flushed, spill replayed — hands its shards to the survivors, and goes
-// silent). Every resize is stamped into the flight recorder as a scale
-// epoch that trace.Verify checks for cross-rank agreement, chunk
-// conservation, and retired-rank silence.
+// served by the pool the autoscaler chose at the previous boundary —
+// the first ranks of whatever the fault plan leaves serving. It is the
+// shared staging driver plus the autoscaler as one more view source:
+// grows widen the serving communicator onto reserve ranks, shrinks
+// retire ranks by drain-then-Split (the departing rank finishes its
+// dump — leases flushed, spill replayed — hands its shards to the
+// survivors, and goes silent), and both compose with crash, partition,
+// restart and crashall plans and with durable staging like any other
+// view change (DESIGN.md §6). Every view is stamped into the flight
+// recorder as a scale epoch that trace.Verify checks for cross-rank
+// agreement, chunk conservation, and retired-rank silence.
 func RunElastic(cfg PipelineConfig, ecfg ElasticConfig, computeFn ComputeFunc, opsFor OperatorFactory) (*PipelineResult, *ScaleReport, error) {
-	if cfg.NumCompute < 1 || cfg.NumStaging < 1 {
-		return nil, nil, fmt.Errorf("predata: pipeline sizes compute=%d staging=%d must be >= 1",
-			cfg.NumCompute, cfg.NumStaging)
-	}
-	if cfg.Dumps < 0 {
-		return nil, nil, fmt.Errorf("predata: negative dump count %d", cfg.Dumps)
-	}
 	pol := ecfg.Policy
 	if err := pol.Validate(); err != nil {
 		return nil, nil, err
@@ -109,377 +100,136 @@ func RunElastic(cfg PipelineConfig, ecfg ElasticConfig, computeFn ComputeFunc, o
 		return nil, nil, fmt.Errorf("predata: staging pool %d exceeds 62, the scale-epoch bitmask width",
 			cfg.NumStaging)
 	}
-	start := ecfg.Start
-	if start == 0 {
-		start = pol.Min
+	start := min(max(ecfg.Start, pol.Min), pol.Max) // zero Start means Min
+	sc := &scaler{
+		pol:      pol,
+		start:    start,
+		space:    ecfg.Space,
+		sched:    elastic.NewSchedule(start),
+		deadline: cfg.Retry.withDefaults().DumpDeadline,
 	}
-	if start < pol.Min {
-		start = pol.Min
-	}
-	if start > pol.Max {
-		start = pol.Max
-	}
-
-	total := cfg.NumCompute + cfg.NumStaging
-	if cfg.FaultPlan != nil && len(cfg.FaultPlan.Partitions) > 0 {
-		return nil, nil, fmt.Errorf(
-			"predata: elastic runs do not support partition faults; quorum fencing requires the fixed-membership pipeline")
-	}
-	if cfg.FaultPlan != nil && (len(cfg.FaultPlan.Restarts) > 0 || len(cfg.FaultPlan.CrashAlls) > 0) {
-		return nil, nil, fmt.Errorf(
-			"predata: elastic runs do not support restart or crashall faults; journal replay requires the fixed-membership pipeline")
-	}
-	inj, err := newPlanInjector(cfg)
+	res, err := runPipeline(cfg, sc, computeFn, opsFor)
 	if err != nil {
 		return nil, nil, err
 	}
-	fcfg := cfg.Fabric
-	if fcfg.LinkBandwidth == 0 {
-		fcfg = fabric.DefaultConfig(total)
+	return res, &sc.report, nil
+}
+
+// scaler is the autoscaler view source RunElastic layers on the shared
+// staging driver. It owns the Schedule every party reads each dump's
+// pool size from, the boundary telemetry exchange that feeds each
+// staging rank's own Autoscaler replica, and the ScaleReport. Every
+// replica sees the same merged telemetry, so all ranks reach the same
+// decision without a membership protocol — the shared-derivation idiom
+// the fault plan already uses. A nil *scaler is a fixed-size pool.
+type scaler struct {
+	pol      elastic.Policy
+	start    int
+	space    *dataspaces.Space
+	sched    *elastic.Schedule
+	deadline time.Duration
+
+	mu     sync.Mutex
+	report ScaleReport
+}
+
+// size returns dump's announced pool size. The wait is deadline-bounded
+// so a dead pool cannot wedge a writer.
+func (sc *scaler) size(dump int64) (int, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), sc.deadline)
+	defer cancel()
+	return sc.sched.ActiveAt(ctx, dump)
+}
+
+// abort poisons the schedule so writers waiting on future announcements
+// fail fast.
+func (sc *scaler) abort(err error) {
+	if sc != nil {
+		sc.sched.Abort(err)
 	}
-	fcfg.Endpoints = total
-	fcfg.Faults = inj
-	fcfg.Tracer = cfg.Tracer
-	fab, err := fabric.New(fcfg)
-	if err != nil {
-		return nil, nil, err
+}
+
+// replica returns one staging rank's copy of the deterministic
+// autoscaler (nil for a fixed-size pool).
+func (sc *scaler) replica() (*elastic.Autoscaler, error) {
+	if sc == nil {
+		return nil, nil
 	}
-	defer fab.Shutdown()
-	var timedOut atomic.Bool
-	if cfg.Timeout > 0 {
-		watchdog := time.AfterFunc(cfg.Timeout, func() {
-			timedOut.Store(true)
-			fab.Shutdown()
-		})
-		defer watchdog.Stop()
+	return elastic.New(sc.pol, sc.start)
+}
+
+// recordEpoch files an installed view in the report; only the view's
+// designated survivor (its lowest rank) records it.
+func (sc *scaler) recordEpoch(idx int, dump, epoch int64, prev, next []int, moved int64, wall time.Duration) {
+	if len(next) == 0 || idx != next[0] {
+		return
 	}
-
-	retry := cfg.Retry.withDefaults()
-	sched := elastic.NewSchedule(start)
-	// member derives one dump's active set from shared state alone: the
-	// announced autoscaler target and the fault plan's live set. Clients
-	// route with it, servers derive their served writers from it, and
-	// the staging loop below re-derives it — all three always agree. The
-	// wait is deadline-bounded so a dead pool cannot wedge a writer.
-	member := func(ts int64) ([]int, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), retry.DumpDeadline)
-		defer cancel()
-		n, err := sched.ActiveAt(ctx, ts)
-		if err != nil {
-			return nil, err
-		}
-		live := liveStagingAt(inj, cfg.NumCompute, cfg.NumStaging, ts)
-		if len(live) == 0 {
-			return nil, fmt.Errorf("predata: no staging rank alive at dump %d", ts)
-		}
-		if n > len(live) {
-			n = len(live)
-		}
-		return live[:n], nil
+	dir := elastic.Hold
+	switch {
+	case prev == nil:
+		// initial configuration, not a resize
+	case len(next) > len(prev):
+		dir = elastic.Grow
+	case len(next) < len(prev):
+		dir = elastic.Shrink
 	}
-
-	res := &PipelineResult{
-		StagingResults: make([][]*staging.Result, cfg.NumStaging),
-		StagingStats:   make([][]*DumpStats, cfg.NumStaging),
-		ClientVisible:  make([]float64, cfg.NumCompute),
-	}
-	var (
-		reportMu sync.Mutex
-		report   FaultReport
-		scale    ScaleReport
-	)
-
-	err = mpi.Run(total, func(world *mpi.Comm) (rankErr error) {
-		// A failed rank must not leave peers blocked: poison the schedule
-		// so writers waiting on future announcements fail fast, and shut
-		// the fabric down for everyone blocked on it.
-		defer func() {
-			if rankErr != nil {
-				sched.Abort(fmt.Errorf("predata: rank %d failed: %w", world.Rank(), rankErr))
-				fab.Shutdown()
-			}
-		}()
-		world.SetTracer(cfg.Tracer)
-		isCompute := world.Rank() < cfg.NumCompute
-		color := 0
-		if !isCompute {
-			color = 1
-		}
-		comm, err := world.Split(color, world.Rank())
-		if err != nil {
-			return err
-		}
-		ep, err := fab.Endpoint(world.Rank())
-		if err != nil {
-			return err
-		}
-		if isCompute {
-			client, err := NewClient(ClientConfig{
-				WriterRank:       comm.Rank(),
-				NumCompute:       cfg.NumCompute,
-				NumStaging:       cfg.NumStaging,
-				Endpoint:         ep,
-				StagingBase:      cfg.NumCompute,
-				Route:            cfg.Route,
-				Transform:        cfg.Transform,
-				PartialCalculate: cfg.PartialCalculate,
-				Faults:           inj,
-				Membership:       member,
-				Retry:            cfg.Retry,
-				Tracer:           cfg.Tracer,
-			})
-			if err != nil {
-				return err
-			}
-			if err := computeFn(comm, client); err != nil {
-				return fmt.Errorf("compute rank %d: %w", comm.Rank(), err)
-			}
-			res.ClientVisible[comm.Rank()] = client.VisibleTime.Seconds()
-			reportMu.Lock()
-			report.Retries += client.Retries
-			report.ReroutedDumps += client.Rerouted
-			reportMu.Unlock()
-			//predata:vet-ignore collectivecheck compute ranks leave here by design; every later collective runs on staging-side communicators
-			return nil
-		}
-
-		myIdx := comm.Rank() // staging identity; stable across every resize
-		var flow *flowctl.Controller
-		if cfg.BufferMB > 0 {
-			opol := cfg.Overload
-			opol.BudgetBytes = int64(cfg.BufferMB) << 20
-			flow, err = flowctl.NewController(opol)
-			if err != nil {
-				return err
-			}
-			flow.SetTracer(cfg.Tracer, world.Rank())
-		}
-		engine := staging.NewEngine(cfg.Engine)
-		engine.SetTracer(cfg.Tracer, world.Rank())
-		server, err := NewServer(ServerConfig{
-			StagingIndex:    myIdx,
-			Comm:            comm,
-			Endpoint:        ep,
-			NumCompute:      cfg.NumCompute,
-			NumStaging:      cfg.NumStaging,
-			StagingBase:     cfg.NumCompute,
-			Route:           cfg.Route,
-			Aggregate:       cfg.Aggregate,
-			Engine:          engine,
-			PullConcurrency: cfg.PullConcurrency,
-			ChunkOrder:      cfg.ChunkOrder,
-			ChunkFilter:     cfg.ChunkFilter,
-			Faults:          inj,
-			Membership:      member,
-			Retry:           cfg.Retry,
-			Flow:            flow,
-			Tracer:          cfg.Tracer,
-		})
-		if err != nil {
-			return err
-		}
-		scaler, err := elastic.New(pol, start)
-		if err != nil {
-			return err
-		}
-
-		results := make([]*staging.Result, 0, cfg.Dumps)
-		stats := make([]*DumpStats, 0, cfg.Dumps)
-		fullCur := comm // all live staging ranks: parked + active
-		prevLive := liveStagingAt(nil, cfg.NumCompute, cfg.NumStaging, 0)
-		var prevSet []int
-		epoch := int64(-1)
-		for dump := 0; dump < cfg.Dumps; dump++ {
-			dumpT := int64(dump)
-			fullCur.SetTraceDump(dumpT)
-			// Derive this dump's membership from shared state (no Peek
-			// miss is possible: this rank itself announced dumpT at the
-			// previous boundary, and dump 0 is pre-announced).
-			n, ok := sched.Peek(dumpT)
-			if !ok {
-				return fmt.Errorf("staging rank %d: dump %d has no announced active count", myIdx, dump)
-			}
-			live := liveStagingAt(inj, cfg.NumCompute, cfg.NumStaging, dumpT)
-			if len(live) == 0 {
-				return fmt.Errorf("staging rank %d: no staging rank alive at dump %d", myIdx, dump)
-			}
-			if n > len(live) {
-				n = len(live)
-			}
-			set := live[:n]
-			lost := len(prevLive) - len(live)
-
-			if !slices.Equal(live, prevLive) || !slices.Equal(set, prevSet) {
-				// Membership epoch boundary: crashed ranks leave the pool,
-				// the serving communicator is re-derived over the new
-				// active set, and the shared space's shards are handed off.
-				recStart := time.Now()
-				if !slices.Equal(live, prevLive) {
-					// Pool shrink via the crash-recovery path: the dead rank
-					// splits out with color < 0, drops off the fabric, and
-					// exits with the dumps it served.
-					rsp := cfg.Tracer.Begin(trace.PhaseRecovery, world.Rank(), -1, dumpT, -1)
-					crashColor := 0
-					if inj.DownAt(cfg.NumCompute+myIdx, dumpT) {
-						crashColor = -1
-					}
-					nf, err := fullCur.Split(crashColor, myIdx)
-					if err != nil {
-						rsp.End(0)
-						return fmt.Errorf("staging rank %d pool shrink at dump %d: %w", myIdx, dump, err)
-					}
-					if crashColor < 0 {
-						if err := fab.FailEndpoint(world.Rank()); err != nil {
-							rsp.End(0)
-							return err
-						}
-						cfg.Tracer.Instant(trace.PhaseCrashExit, world.Rank(), -1, dumpT, int64(len(results)), 0)
-						rsp.End(0)
-						//predata:vet-ignore collectivecheck dump-aligned crash: this rank split out with color<0, so survivors' collectives use communicators that exclude it
-						break
-					}
-					fullCur = nf
-					fullCur.SetTraceDump(dumpT)
-					rsp.End(int64(len(live)))
-				}
-				epoch++
-				pos := slices.Index(set, myIdx)
-				retiring := pos < 0 && slices.Contains(prevSet, myIdx)
-				var drain trace.Span
-				if retiring {
-					// Drain-then-Split retirement: the departing rank already
-					// flushed its leases and replayed its spill inside the
-					// previous ServeDump; what remains is leaving the serving
-					// communicator while the survivors take over its shards.
-					drain = cfg.Tracer.Begin(trace.PhaseDrain, world.Rank(), -1, dumpT, epoch)
-				}
-				activeColor := 0
-				if pos < 0 {
-					activeColor = 1
-				}
-				sub, err := fullCur.Split(activeColor, myIdx)
-				if err != nil {
-					drain.End(0)
-					return fmt.Errorf("staging rank %d serving split at dump %d: %w", myIdx, dump, err)
-				}
-				if pos >= 0 {
-					if err := server.Reconfigure(sub, epoch, time.Since(recStart)); err != nil {
-						drain.End(0)
-						return fmt.Errorf("staging rank %d reconfigure at dump %d: %w", myIdx, dump, err)
-					}
-				}
-				if myIdx == set[0] {
-					// The designated survivor performs the shard handoff and
-					// records the epoch for the report.
-					var handoffCells int64
-					var handoffWall time.Duration
-					if ecfg.Space != nil {
-						hs := time.Now()
-						st, err := ecfg.Space.Resize(len(set))
-						if err != nil {
-							drain.End(0)
-							return fmt.Errorf("staging rank %d shard handoff at dump %d: %w", myIdx, dump, err)
-						}
-						handoffCells = st.MovedCells
-						handoffWall = time.Since(hs)
-						cfg.Tracer.Instant(trace.PhaseHandoff, world.Rank(), -1, dumpT, epoch, handoffCells)
-					}
-					dir := elastic.Hold
-					switch {
-					case prevSet == nil:
-						// initial configuration, not a resize
-					case len(set) > len(prevSet):
-						dir = elastic.Grow
-					case len(set) < len(prevSet):
-						dir = elastic.Shrink
-					}
-					reportMu.Lock()
-					scale.Epochs = append(scale.Epochs, ScaleEpoch{
-						Epoch:        epoch,
-						FirstDump:    dumpT,
-						Active:       len(set),
-						Direction:    dir,
-						HandoffCells: handoffCells,
-						HandoffWall:  handoffWall,
-					})
-					reportMu.Unlock()
-				}
-				// End on the zero Span (not retiring) is a no-op.
-				drain.End(int64(len(set)))
-				// Every live rank stamps the epoch it is entering: first
-				// dump, active count, and the active-index bitmask that
-				// trace.Verify checks for cross-rank agreement and
-				// retired-rank silence.
-				var mask int64
-				for _, idx := range set {
-					mask |= 1 << idx
-				}
-				cfg.Tracer.Instant(trace.PhaseScaleEpoch, world.Rank(), len(set), dumpT, epoch, mask)
-				prevSet = append([]int(nil), set...)
-				prevLive = live
-			}
-
-			var dumpOv *flowctl.OverloadStats
-			if slices.Contains(set, myIdx) {
-				//predata:vet-ignore collectivecheck membership-derived branch: ServeDump's collectives run on the serving communicator, which holds exactly the ranks whose shared derivation lands in set; parked ranks are outside it
-				r, st, err := server.ServeDump(dumpT, opsFor(dump))
-				if err != nil {
-					return fmt.Errorf("staging rank %d dump %d: %w", myIdx, dump, err)
-				}
-				results = append(results, r)
-				stats = append(stats, st)
-				dumpOv = st.Overload
-			}
-
-			// Boundary telemetry exchange over the full live pool, parked
-			// ranks included: every rank feeds the identical merged view
-			// into its own scaler, so all ranks reach the same decision
-			// independently. Only the pool's lowest rank reports the
-			// boundary's crash losses, so the merge counts them once.
-			reportLost := 0
-			if fullCur.Rank() == 0 {
-				reportLost = lost
-			}
-			rows, err := mpi.Allgather(fullCur,
-				[]elastic.Telemetry{elastic.FromOverload(dumpT, dumpOv, reportLost)})
-			if err != nil {
-				return fmt.Errorf("staging rank %d telemetry exchange at dump %d: %w", myIdx, dump, err)
-			}
-			flat := make([]elastic.Telemetry, 0, len(rows))
-			for _, row := range rows {
-				flat = append(flat, row...)
-			}
-			dec := scaler.Observe(elastic.Merge(flat))
-			cfg.Tracer.Instant(trace.PhaseScale, world.Rank(), dec.Direction, dumpT, epoch, int64(dec.Target))
-			if err := sched.Announce(dumpT+1, dec.Target); err != nil {
-				return fmt.Errorf("staging rank %d announcing dump %d: %w", myIdx, dump+1, err)
-			}
-			if myIdx == set[0] {
-				reportMu.Lock()
-				scale.RankDumps += int64(len(set))
-				if scale.MinActive == 0 || len(set) < scale.MinActive {
-					scale.MinActive = len(set)
-				}
-				if len(set) > scale.MaxActive {
-					scale.MaxActive = len(set)
-				}
-				st := scaler.Stats()
-				scale.Decisions, scale.Grows, scale.Shrinks = st.Decisions, st.Grows, st.Shrinks
-				scale.Holds, scale.CooldownHolds = st.Holds, st.CooldownHolds
-				scale.FinalActive = scaler.Current()
-				reportMu.Unlock()
-			}
-		}
-		res.StagingResults[myIdx] = results
-		res.StagingStats[myIdx] = stats
-		return nil
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.report.Epochs = append(sc.report.Epochs, ScaleEpoch{
+		Epoch:        epoch,
+		FirstDump:    dump,
+		Active:       len(next),
+		Direction:    dir,
+		HandoffCells: moved,
+		HandoffWall:  wall,
 	})
-	if err != nil {
-		if timedOut.Load() {
-			err = errors.Join(fmt.Errorf("predata: elastic pipeline timed out after %v", cfg.Timeout), err)
-		}
-		return nil, nil, errors.Join(errors.New("predata: elastic pipeline failed"), err)
+}
+
+// observe closes one dump boundary for the autoscaler: every live
+// staging rank — parked and fenced ones included — exchanges its
+// telemetry over the alive communicator, feeds the identical merged view
+// into its own replica, and announces the same next-dump pool size.
+// served is the rank's overload stats for the dump (nil when it sat
+// out); lost counts the crash losses the boundary discovered, reported
+// by the communicator's lowest rank only so the merge counts them once.
+// The view's designated survivor folds the dump into the report. No-op
+// for a fixed-size pool.
+func (sc *scaler) observe(auto *elastic.Autoscaler, alive *mpi.Comm, tr *trace.Recorder, rank, idx int,
+	dump int64, v View, served *flowctl.OverloadStats, lost int) error {
+	if sc == nil {
+		return nil
 	}
-	finishReports(&cfg, inj, &report, res)
-	return res, &scale, nil
+	if alive.Rank() != 0 {
+		lost = 0
+	}
+	rows, err := mpi.Allgather(alive, []elastic.Telemetry{elastic.FromOverload(dump, served, lost)})
+	if err != nil {
+		return fmt.Errorf("staging rank %d telemetry exchange at dump %d: %w", idx, dump, err)
+	}
+	flat := make([]elastic.Telemetry, 0, len(rows))
+	for _, row := range rows {
+		flat = append(flat, row...)
+	}
+	dec := auto.Observe(elastic.Merge(flat))
+	tr.Instant(trace.PhaseScale, rank, dec.Direction, dump, v.Epoch, int64(dec.Target))
+	if err := sc.sched.Announce(dump+1, dec.Target); err != nil {
+		return fmt.Errorf("staging rank %d announcing dump %d: %w", idx, dump+1, err)
+	}
+	if len(v.Active) == 0 || idx != v.Active[0] {
+		return nil
+	}
+	n := len(v.Active)
+	st := auto.Stats()
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	r := &sc.report
+	r.RankDumps += int64(n)
+	if r.MinActive == 0 || n < r.MinActive {
+		r.MinActive = n
+	}
+	r.MaxActive = max(r.MaxActive, n)
+	r.Decisions, r.Grows, r.Shrinks = st.Decisions, st.Grows, st.Shrinks
+	r.Holds, r.CooldownHolds = st.Holds, st.CooldownHolds
+	r.FinalActive = auto.Current()
+	return nil
 }

@@ -3,6 +3,7 @@ package predata
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"predata/internal/mpi"
 	"predata/internal/staging"
 	"predata/internal/trace"
+	"predata/internal/wal"
 )
 
 // TestReconfigureHardened covers the membership-epoch contract on its
@@ -440,5 +442,136 @@ func TestElasticCrashDuringGrow(t *testing.T) {
 				t.Errorf("fault report %+v, want one crashed staging rank", res.Fault)
 			}
 		})
+	}
+}
+
+// elasticFaultLeg runs one traced elastic soak leg under plan spec at
+// seed — 4 provisioned staging ranks, a pool of at least 2, journaled
+// under a fresh WALDir — and asserts the composition invariants every
+// fault class must keep: exact frame conservation and a recording that
+// passes trace.Verify with the at-most-once rule engaged.
+func elasticFaultLeg(t *testing.T, spec string, seed int64) (*PipelineResult, *trace.Recording, *trace.VerifyReport) {
+	t.Helper()
+	cfg := elasticSoakConfig(t, 4)
+	cfg.WALDir = t.TempDir()
+	plan, err := faults.ParsePlan(spec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.FaultPlan = &plan
+	res, _, rec, rep := runElasticTraced(t, cfg, ElasticConfig{
+		Policy: elastic.Policy{Min: 2, Max: 4, GrowK: 2, ShrinkJ: 4, Cooldown: 1},
+	}, xrayCompute(cfg.Dumps, burstBaseFrames, burstFactors, seed), frameCountOps)
+	want := int64(cfg.NumCompute) * xrayTotalFrames(burstBaseFrames, burstFactors)
+	if got := sumFrameCounts(res); got != want {
+		t.Errorf("counted %d frames, want %d", got, want)
+	}
+	if rep.ScaleEpochs < 2 || rep.ExclusivityChecks == 0 {
+		t.Errorf("verifier cross-checked %d scale epochs and %d chunks, want >= 2 and > 0",
+			rep.ScaleEpochs, rep.ExclusivityChecks)
+	}
+	if rep.ChunkChecks != cfg.Dumps {
+		t.Errorf("chunk coverage checked %d dumps, want %d", rep.ChunkChecks, cfg.Dumps)
+	}
+	if res.Fault == nil {
+		t.Fatal("fault plan produced no fault report")
+	}
+	return res, rec, rep
+}
+
+// TestElasticPartitionFenceHeal: a partition cuts staging index 1 —
+// serving in the initial pool of 2 — away from the other three over
+// dumps 1-3. It loses quorum and is fenced, a reserve rank takes its
+// place in the pool, and once the window closes it heals back in.
+func TestElasticPartitionFenceHeal(t *testing.T) {
+	for _, seed := range confSeeds {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			res, rec, _ := elasticFaultLeg(t, "partition:9|8,10,11@1-3", seed)
+			if res.Fault.FencedDumps == 0 || res.Fault.Heals == 0 {
+				t.Errorf("fence leg fenced %d dumps and healed %d times, want both > 0",
+					res.Fault.FencedDumps, res.Fault.Heals)
+			}
+			if !hasPhase(rec, trace.PhaseProbe) || !hasPhase(rec, trace.PhaseHeal) {
+				t.Error("no quorum probe or heal recorded")
+			}
+		})
+	}
+}
+
+// TestElasticRestartRejoins: staging index 1 bounces over dumps 2-3 in
+// the middle of the burst. A reserve rank takes its place in the pool,
+// and the bounced rank rebuilds from its journal when the window closes.
+func TestElasticRestartRejoins(t *testing.T) {
+	for _, seed := range confSeeds {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			res, rec, _ := elasticFaultLeg(t, "restart:9@2:2", seed)
+			if res.Fault.Restarts != 1 {
+				t.Errorf("Restarts = %d, want 1", res.Fault.Restarts)
+			}
+			if !hasPhase(rec, trace.PhaseRestart) {
+				t.Error("no restart recorded")
+			}
+		})
+	}
+}
+
+// TestElasticCrashAllReplays: the whole staging service crashes mid
+// dump 3, at the height of the burst. Every live rank rebuilds from its
+// journal under a fresh epoch, and the serving ranks finish the dump by
+// replaying every journaled chunk.
+func TestElasticCrashAllReplays(t *testing.T) {
+	for _, seed := range confSeeds {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			res, _, rep := elasticFaultLeg(t, "crashall@3", seed)
+			if res.Fault.Restarts != 4 {
+				t.Errorf("Restarts = %d, want 4 (every live rank rebuilt)", res.Fault.Restarts)
+			}
+			if res.Fault.WalReplayed != 8 {
+				t.Errorf("WalReplayed = %d, want 8 (every chunk of the crashed dump)", res.Fault.WalReplayed)
+			}
+			if rep.WALChecks == 0 {
+				t.Error("no WAL replay fidelity checks ran")
+			}
+		})
+	}
+}
+
+// TestElasticDurableJournalsAndCheckpoints: an elastic run with a
+// journal directory and a checkpoint cadence journals and checkpoints
+// under every rank that served, and its recording orders every
+// truncation behind a covering checkpoint.
+func TestElasticDurableJournalsAndCheckpoints(t *testing.T) {
+	cfg := elasticSoakConfig(t, 3)
+	cfg.WALDir = t.TempDir()
+	cfg.CheckpointEvery = 2
+	res, _, _, rep := runElasticTraced(t, cfg, ElasticConfig{
+		Policy: elastic.Policy{Min: 1, Max: 3, GrowK: 2, ShrinkJ: 2, Cooldown: 1},
+	}, xrayCompute(cfg.Dumps, burstBaseFrames, burstFactors, burstSeed), frameCountOps)
+	if rep.CheckpointChecks == 0 {
+		t.Errorf("no checkpoint-before-truncate checks ran: %+v", rep)
+	}
+	if res.Fault == nil || res.Fault.WalRecords == 0 || res.Fault.Checkpoints == 0 {
+		t.Fatalf("journaled elastic run reports %+v, want WAL records and checkpoints", res.Fault)
+	}
+	servedRanks := 0
+	for idx, stats := range res.StagingStats {
+		if len(stats) == 0 {
+			continue // never served
+		}
+		servedRanks++
+		dir := filepath.Join(cfg.WALDir, fmt.Sprintf("rank-%d", cfg.NumCompute+idx))
+		st, err := wal.Recover(dir)
+		if err != nil {
+			t.Fatalf("staging rank %d: %v", idx, err)
+		}
+		if st.Records == 0 && !st.HaveCheckpoint {
+			t.Errorf("staging rank %d served but journaled nothing under %s", idx, dir)
+		}
+		if !st.HaveCheckpoint {
+			t.Errorf("staging rank %d served but wrote no checkpoint under %s", idx, dir)
+		}
+	}
+	if servedRanks < 2 {
+		t.Errorf("%d ranks served, want the burst to grow the pool past 1", servedRanks)
 	}
 }

@@ -245,6 +245,20 @@ type PipelineResult struct {
 // servers on NumStaging ranks, all within one message-passing world wired
 // to one fabric: ranks [0, NumCompute) are compute, the rest staging.
 func RunPipeline(cfg PipelineConfig, computeFn ComputeFunc, opsFor OperatorFactory) (*PipelineResult, error) {
+	return runPipeline(cfg, nil, computeFn, opsFor)
+}
+
+// errCrashed reports that installView took this rank out of the job:
+// the fault plan crashed it at the dump boundary.
+var errCrashed = errors.New("predata: staging rank crashed out")
+
+// runPipeline is the one staging driver behind RunPipeline and
+// RunElastic. Every staging rank runs the same dump loop: at each dump
+// boundary it derives the dump's View from one shared view source — the
+// fault plan's live set, the quorum probe, restart parking and, when sc
+// is non-nil, the autoscaler's announced pool size — and installView
+// moves it onto the view whenever the view changed (DESIGN.md §6).
+func runPipeline(cfg PipelineConfig, sc *scaler, computeFn ComputeFunc, opsFor OperatorFactory) (*PipelineResult, error) {
 	if cfg.NumCompute < 1 || cfg.NumStaging < 1 {
 		return nil, fmt.Errorf("predata: pipeline sizes compute=%d staging=%d must be >= 1",
 			cfg.NumCompute, cfg.NumStaging)
@@ -277,6 +291,11 @@ func RunPipeline(cfg PipelineConfig, computeFn ComputeFunc, opsFor OperatorFacto
 		})
 		defer watchdog.Stop()
 	}
+	var poolSize func(int64) (int, error)
+	if sc != nil {
+		poolSize = sc.size
+	}
+	views := newMembership(inj, cfg.NumCompute, cfg.NumStaging, poolSize)
 
 	res := &PipelineResult{
 		StagingResults: make([][]*staging.Result, cfg.NumStaging),
@@ -289,11 +308,14 @@ func RunPipeline(cfg PipelineConfig, computeFn ComputeFunc, opsFor OperatorFacto
 	)
 
 	err = mpi.Run(total, func(world *mpi.Comm) (rankErr error) {
-		// A failed rank must not leave peers blocked on the fabric: shut
-		// the fabric down so pending RecvCtl/Pull calls fail fast (the
-		// message-passing side aborts via mpi.Run's own error handling).
+		// A failed rank must not leave peers blocked: poison the elastic
+		// schedule so writers waiting on future announcements fail fast,
+		// and shut the fabric down so pending RecvCtl/Pull calls fail too
+		// (the message-passing side aborts via mpi.Run's own error
+		// handling).
 		defer func() {
 			if rankErr != nil {
+				sc.abort(fmt.Errorf("predata: rank %d failed: %w", world.Rank(), rankErr))
 				fab.Shutdown()
 			}
 		}()
@@ -322,6 +344,7 @@ func RunPipeline(cfg PipelineConfig, computeFn ComputeFunc, opsFor OperatorFacto
 				Transform:        cfg.Transform,
 				PartialCalculate: cfg.PartialCalculate,
 				Faults:           inj,
+				Membership:       poolSize,
 				Retry:            cfg.Retry,
 				Tracer:           cfg.Tracer,
 			})
@@ -336,10 +359,10 @@ func RunPipeline(cfg PipelineConfig, computeFn ComputeFunc, opsFor OperatorFacto
 			report.Retries += client.Retries
 			report.ReroutedDumps += client.Rerouted
 			reportMu.Unlock()
-			//predata:vet-ignore collectivecheck compute ranks leave here by design; every later collective runs on the staging-only communicator
+			//predata:vet-ignore collectivecheck compute ranks leave here by design; every later collective runs on staging-side communicators
 			return nil
 		}
-		myIdx := comm.Rank() // staging identity; stable across comm shrinks
+		myIdx := comm.Rank() // staging identity; stable across every view change
 		var flow *flowctl.Controller
 		if cfg.BufferMB > 0 {
 			pol := cfg.Overload
@@ -350,34 +373,46 @@ func RunPipeline(cfg PipelineConfig, computeFn ComputeFunc, opsFor OperatorFacto
 			}
 			flow.SetTracer(cfg.Tracer, world.Rank())
 		}
+		auto, err := sc.replica()
+		if err != nil {
+			return err
+		}
+		results := make([]*staging.Result, 0, cfg.Dumps)
+		stats := make([]*DumpStats, 0, cfg.Dumps)
+		// tally is this rank's share of the run's fault report, folded in
+		// at exit alongside its results — whichever way the rank leaves.
+		var tally FaultReport
 		// Durable staging: recover whatever a previous incarnation's
 		// journal holds (recovery-on-start), then open for appending.
-		// Each restart/crashall rebuild below repeats the same sequence.
+		// installView repeats the same sequence on every rebuild. The rank
+		// owns whichever handle `journal` holds at exit, so the shutdown
+		// closure is registered before any of them, on every path.
 		var journal *wal.Log
 		var walDir string
 		var startState *wal.State
-		// foldJournal banks the current handle's append totals into the
-		// run report; called before every Close so bounced handles are
-		// not lost.
-		foldJournal := func() {
+		closeJournal := func() error {
 			if journal == nil {
-				return
+				return nil
 			}
-			reportMu.Lock()
-			report.WalRecords += journal.Records()
-			report.WalBytes += journal.Bytes()
-			report.JournalWall += journal.Wall()
-			reportMu.Unlock()
+			tally.WalRecords += journal.Records()
+			tally.WalBytes += journal.Bytes()
+			tally.JournalWall += journal.Wall()
+			err := journal.Close()
+			journal = nil
+			return err
 		}
-		// The rank owns whichever handle `journal` holds at exit —
-		// including ones the restart paths below re-open — so the
-		// shutdown closure is registered before any of them, on every
-		// path.
 		defer func() {
-			foldJournal()
-			if journal != nil {
-				_ = journal.Close()
-			}
+			_ = closeJournal()
+			res.StagingResults[myIdx] = results
+			res.StagingStats[myIdx] = stats
+			reportMu.Lock()
+			report.WalRecords += tally.WalRecords
+			report.WalBytes += tally.WalBytes
+			report.JournalWall += tally.JournalWall
+			report.Restarts += tally.Restarts
+			report.Heals += tally.Heals
+			report.Checkpoints += tally.Checkpoints
+			reportMu.Unlock()
 		}()
 		if cfg.WALDir != "" {
 			walDir = filepath.Join(cfg.WALDir, fmt.Sprintf("rank-%d", world.Rank()))
@@ -390,9 +425,9 @@ func RunPipeline(cfg PipelineConfig, computeFn ComputeFunc, opsFor OperatorFacto
 				return err
 			}
 		}
-		// mkServer builds a fresh runtime incarnation around the current
-		// journal handle — once at start, and again after every rebuild.
-		mkServer := func(c *mpi.Comm) (*Server, error) {
+		// mkServer builds a fresh runtime incarnation around a journal
+		// handle — once at start, and again after every rebuild.
+		mkServer := func(c *mpi.Comm, j *wal.Log) (*Server, error) {
 			engine := staging.NewEngine(cfg.Engine)
 			engine.SetTracer(cfg.Tracer, world.Rank())
 			return NewServer(ServerConfig{
@@ -409,313 +444,306 @@ func RunPipeline(cfg PipelineConfig, computeFn ComputeFunc, opsFor OperatorFacto
 				ChunkOrder:      cfg.ChunkOrder,
 				ChunkFilter:     cfg.ChunkFilter,
 				Faults:          inj,
+				Membership:      poolSize,
 				Retry:           cfg.Retry,
 				Flow:            flow,
-				Journal:         journal,
+				Journal:         j,
 				Tracer:          cfg.Tracer,
 			})
 		}
-		server, err := mkServer(comm)
+		server, err := mkServer(comm, journal)
 		if err != nil {
 			return err
 		}
-		if startState != nil {
-			if _, err := server.Recover(startState); err != nil {
-				return err
-			}
+		if _, err := server.Recover(startState); err != nil {
+			return err
 		}
-		results := make([]*staging.Result, 0, cfg.Dumps)
-		stats := make([]*DumpStats, 0, cfg.Dumps)
-		alive := comm
-		prevLive := liveStagingAt(nil, cfg.NumCompute, cfg.NumStaging, 0) // everyone
-		prevActive := prevLive
-		hasPartitions := cfg.FaultPlan != nil && len(cfg.FaultPlan.Partitions) > 0
-		hasRestarts := cfg.FaultPlan != nil && len(cfg.FaultPlan.Restarts) > 0
-		hasWindows := hasPartitions || hasRestarts
-		fenced := false
-		parked := false
-		epoch := int64(-1)
-		for dump := 0; dump < cfg.Dumps; dump++ {
-			// Membership is dump-aligned and derived from the shared plan.
-			// Crashes shrink the alive communicator: the dying rank splits
-			// out (color < 0 — MPI_UNDEFINED), drops off the fabric, and
-			// exits cleanly with the dumps it served. Partitions fence
-			// alive ranks that cannot reach a staging quorum, and restart
-			// windows park ranks mid-bounce: the active communicator —
-			// alive minus fenced/parked — is re-split from the alive one
-			// at every membership boundary, so an inactive rank parks
-			// (still answering splits) and rejoins the collective the
-			// moment its window closes.
-			nowLive := liveStagingAt(inj, cfg.NumCompute, cfg.NumStaging, int64(dump))
-			nowActive := nowLive
-			if hasWindows {
-				nowActive = activeStagingAt(inj, cfg.NumCompute, cfg.NumStaging, int64(dump))
-			}
-			if !slices.Equal(nowLive, prevLive) || !slices.Equal(nowActive, prevActive) {
-				recStart := time.Now()
-				rsp := cfg.Tracer.Begin(trace.PhaseRecovery, world.Rank(), -1, int64(dump), -1)
-				if !slices.Equal(nowLive, prevLive) {
-					color := 0
-					if inj.DownAt(cfg.NumCompute+myIdx, int64(dump)) {
-						color = -1
-					}
-					sub, err := alive.Split(color, myIdx)
-					if err != nil {
-						rsp.End(0)
-						return fmt.Errorf("staging rank %d shrink at dump %d: %w", myIdx, dump, err)
-					}
-					if color < 0 {
-						if err := fab.FailEndpoint(world.Rank()); err != nil {
-							rsp.End(0)
-							return err
-						}
-						cfg.Tracer.Instant(trace.PhaseCrashExit, world.Rank(), -1, int64(dump), int64(len(results)), 0)
-						rsp.End(0)
-						//predata:vet-ignore collectivecheck dump-aligned crash: this rank split out with color<0, so survivors' collectives use the shrunk communicator that excludes it
-						break
-					}
-					alive = sub
-				}
-				active := alive
-				amActive := contains(nowActive, myIdx)
-				if hasWindows {
-					if hasPartitions {
-						// Dump-aligned probe: how many live peers this rank
-						// reaches, and whether that is a strict majority.
-						reach := int64(0)
-						for _, j := range nowLive {
-							if j == myIdx || !inj.Unreachable(cfg.NumCompute+myIdx, cfg.NumCompute+j, int64(dump)) {
-								reach++
-							}
-						}
-						quorum := int64(0)
-						if amActive {
-							quorum = 1
-						}
-						cfg.Tracer.Instant(trace.PhaseProbe, world.Rank(), -1, int64(dump), reach, quorum)
-					}
-					fcolor := 0
-					if !amActive {
-						fcolor = 1
-					}
-					sub, err := alive.Split(fcolor, myIdx)
-					if err != nil {
-						rsp.End(0)
-						return fmt.Errorf("staging rank %d fence split at dump %d: %w", myIdx, dump, err)
-					}
-					active = sub
-				}
-				epoch++
-				if amActive {
-					if parked {
-						// Revival: rejoin the fabric, recover the journal
-						// the bounced incarnation sealed at shutdown, and
-						// rebuild the runtime around the replayed state.
-						if err := fab.ReviveEndpoint(world.Rank()); err != nil {
-							rsp.End(0)
-							return err
-						}
-						st, err := wal.Recover(walDir)
-						if err != nil {
-							rsp.End(0)
-							return err
-						}
-						// The park above always folds and seals the handle
-						// before fencing; guard anyway so no edit can leak
-						// a live journal into the rebind below.
-						if journal != nil {
-							foldJournal()
-							_ = journal.Close()
-						}
-						journal, err = wal.Open(walDir)
-						if err != nil {
-							rsp.End(0)
-							return err
-						}
-						server, err = mkServer(active)
-						if err != nil {
-							rsp.End(0)
-							return err
-						}
-						replayed, err := server.Recover(st)
-						if err != nil {
-							rsp.End(0)
-							return err
-						}
-						reportMu.Lock()
-						report.Restarts++
-						reportMu.Unlock()
-						cfg.Tracer.Instant(trace.PhaseRestart, world.Rank(), -1, int64(dump), epoch, int64(replayed))
-						parked = false
-					}
-					if fenced {
-						// Heal: the membership epoch advanced past the
-						// fence window, and every in-window request census
-						// excluded this rank, so nothing it serves from
-						// here on can double-process a chunk.
-						cfg.Tracer.Instant(trace.PhaseHeal, world.Rank(), -1, int64(dump), epoch, 0)
-						reportMu.Lock()
-						report.Heals++
-						reportMu.Unlock()
-						fenced = false
-					}
-					if err := server.Reconfigure(active, epoch, time.Since(recStart)); err != nil {
-						rsp.End(0)
-						return fmt.Errorf("staging rank %d reconfigure at dump %d: %w", myIdx, dump, err)
-					}
-				} else if hasRestarts && inj.RestartDownAt(cfg.NumCompute+myIdx, int64(dump)) {
-					if !parked {
-						// Controlled bounce at the dump boundary: drain
-						// in-flight requests into the journal (buffered
-						// pending ones are already there), seal it, and
-						// drop off the fabric for the window.
-						for _, m := range ep.DrainCtl() {
-							if req, ok := m.Data.(FetchRequest); ok {
-								if err := server.journalRequest(req); err != nil {
-									rsp.End(0)
-									return err
-								}
-							}
-						}
-						foldJournal()
-						if journal != nil {
-							if err := journal.Close(); err != nil {
-								rsp.End(0)
-								return err
-							}
-							journal = nil
-						}
-						if err := fab.FailEndpoint(world.Rank()); err != nil {
-							rsp.End(0)
-							return err
-						}
-						parked = true
-					}
+
+		// Membership state. alive spans every live staging rank (parked
+		// and fenced ones included: they still answer splits); active is
+		// the serving communicator the installed view's ranks share.
+		alive, active := comm, comm
+		live := views.all
+		cur := View{Epoch: -1, Active: views.all}
+		if sc != nil {
+			cur.Active = nil // elastic runs install — and stamp — their initial view at dump 0
+		}
+		parked, fenced := false, false
+		// Boundary telemetry inputs: the overload stats of the dump this
+		// rank served (nil when it sat out), and the crash losses the
+		// boundary discovered.
+		var served *flowctl.OverloadStats
+		lost := 0
+
+		// installView moves this rank onto view next at dump — the single
+		// path every membership change takes: the crash Split (color -1
+		// for the ranks the plan killed, which leave with errCrashed), the
+		// active Split, revive/park, the journal rebuild, Reconfigure, the
+		// elastic shard handoff, and the epoch trace stamps. rebuild asks
+		// for a journal rebuild on an unchanged view: the crashall drill.
+		installView := func(dump int64, nowLive, next []int, rebuild bool) (err error) {
+			recStart := time.Now()
+			rsp := cfg.Tracer.Begin(trace.PhaseRecovery, world.Rank(), -1, dump, -1)
+			defer func() {
+				if err != nil {
+					rsp.End(0)
 				} else {
-					fenced = true
+					rsp.End(int64(len(next)))
 				}
-				rsp.End(int64(len(nowActive)))
-				prevLive, prevActive = nowLive, nowActive
-			}
-			if parked {
-				// Down for the bounce: the process is gone for these dumps
-				// and its writers rerouted. Placeholder entries keep dump
-				// indices aligned across ranks.
-				results = append(results, &staging.Result{
-					PerOperator: map[string]map[string]any{},
-					Degraded:    true,
-				})
-				stats = append(stats, &DumpStats{Down: true, Degraded: true})
-				continue
-			}
-			if fenced {
-				// Sat out: alive but without quorum. Placeholder entries
-				// keep dump indices aligned across ranks for downstream
-				// consumers; marked Degraded because this rank reduced
-				// nothing for the dump (its writers rerouted to the
-				// quorum side).
-				results = append(results, &staging.Result{
-					PerOperator: map[string]map[string]any{},
-					Degraded:    true,
-				})
-				stats = append(stats, &DumpStats{Fenced: true, Degraded: true})
-				continue
-			}
-			if journal != nil && inj.CrashAllAt(int64(dump)) {
-				// Whole-service crash drill, in three acts. Act 1: the
-				// crash-vulnerable half — gather and pull this dump,
-				// journaling everything, with no collective or engine
-				// work (the state a process holds when the crash lands).
-				ist, err := server.IngestDump(int64(dump))
+			}()
+			changed := !slices.Equal(nowLive, live) || !slices.Equal(next, cur.Active)
+			if !slices.Equal(nowLive, live) {
+				// Crashes shrink the alive communicator: the dying rank
+				// splits out (color < 0 — MPI_UNDEFINED), drops off the
+				// fabric, and exits with the dumps it served.
+				color := 0
+				if !slices.Contains(nowLive, myIdx) {
+					color = -1
+				}
+				sub, err := alive.Split(color, myIdx)
 				if err != nil {
-					return fmt.Errorf("staging rank %d crashall ingest at dump %d: %w", myIdx, dump, err)
+					return fmt.Errorf("staging rank %d shrink at dump %d: %w", myIdx, dump, err)
 				}
-				// Act 2: the crash itself. Every incarnation's in-memory
-				// state is gone; only the journal survives. Rebuild the
-				// runtime from recovery under a fresh membership epoch
-				// (membership itself is unchanged — everyone died and
-				// everyone came back).
-				recStart := time.Now()
-				foldJournal()
-				if err := journal.Close(); err != nil {
-					return fmt.Errorf("staging rank %d crashall at dump %d: %w", myIdx, dump, err)
+				if color < 0 {
+					if err := fab.FailEndpoint(world.Rank()); err != nil {
+						return err
+					}
+					cfg.Tracer.Instant(trace.PhaseCrashExit, world.Rank(), -1, dump, int64(len(results)), 0)
+					return errCrashed
 				}
-				wst, err := wal.Recover(walDir)
+				lost = len(live) - len(nowLive)
+				alive = sub
+			}
+			serving := slices.Contains(next, myIdx)
+			if changed {
+				// The serving communicator is re-derived from the alive one
+				// at every view change — split by activity unless every live
+				// rank serves — so a rank sitting the view out stays
+				// reachable for splits and rejoins the collective the
+				// moment a later view includes it.
+				active = alive
+				if !slices.Equal(next, nowLive) {
+					color := 0
+					if !serving {
+						color = 1
+					}
+					if active, err = alive.Split(color, myIdx); err != nil {
+						return fmt.Errorf("staging rank %d active split at dump %d: %w", myIdx, dump, err)
+					}
+				}
+			}
+			prev := cur.Active
+			cur = View{Epoch: cur.Epoch + 1, Active: next}
+			live = nowLive
+			down := inj.RestartDownAt(cfg.NumCompute+myIdx, dump)
+			quorum := true
+			if len(inj.Plan().Partitions) > 0 {
+				// Dump-aligned probe: how many live peers this rank
+				// reaches, and whether that is a strict majority.
+				reach := stagingReachAt(inj, cfg.NumCompute, nowLive, myIdx, dump)
+				quorum = 2*reach > len(nowLive)
+				verdict := int64(0)
+				if quorum {
+					verdict = 1
+				}
+				cfg.Tracer.Instant(trace.PhaseProbe, world.Rank(), -1, dump, int64(reach), verdict)
+			}
+			var drain trace.Span
+			if slices.Contains(prev, myIdx) && !serving {
+				// Leaving the serving set: the rank flushed its leases and
+				// replayed its spill inside its last ServeDump; what remains
+				// is handing its writers and shards to the survivors.
+				drain = cfg.Tracer.Begin(trace.PhaseDrain, world.Rank(), -1, dump, cur.Epoch)
+			}
+			// End on the zero Span (not leaving) is a no-op.
+			defer drain.End(int64(len(next)))
+			if parked && !down {
+				// Revival: rejoin the fabric and rebuild from the journal
+				// the bounced incarnation sealed at shutdown.
+				if err := fab.ReviveEndpoint(world.Rank()); err != nil {
+					return err
+				}
+				parked, rebuild = false, true
+			}
+			if rebuild && !parked {
+				// A fresh incarnation: every in-memory structure is gone,
+				// only the journal survives. Recover it and rebuild the
+				// runtime around the replayed state.
+				if err := closeJournal(); err != nil {
+					return fmt.Errorf("staging rank %d rebuild at dump %d: %w", myIdx, dump, err)
+				}
+				st, err := wal.Recover(walDir)
 				if err != nil {
 					return err
 				}
-				journal, err = wal.Open(walDir)
+				if journal, err = wal.Open(walDir); err != nil {
+					return err
+				}
+				if server, err = mkServer(active, journal); err != nil {
+					return err
+				}
+				replayed, err := server.Recover(st)
 				if err != nil {
 					return err
 				}
-				server, err = mkServer(alive)
-				if err != nil {
-					return err
-				}
-				replayed, err := server.Recover(wst)
-				if err != nil {
-					return err
-				}
-				epoch++
-				if err := server.Reconfigure(alive, epoch, time.Since(recStart)); err != nil {
-					return fmt.Errorf("staging rank %d crashall reconfigure at dump %d: %w", myIdx, dump, err)
-				}
-				reportMu.Lock()
-				report.Restarts++
-				reportMu.Unlock()
-				cfg.Tracer.Instant(trace.PhaseRestart, world.Rank(), -1, int64(dump), epoch, int64(replayed))
-				// Act 3: finish the dump out of the journal — partials
-				// from the recovered requests, chunks from the recovered
-				// records, no fabric pull.
-				r, st, err := server.ReplayDump(int64(dump), opsFor(dump))
-				if err != nil {
-					return fmt.Errorf("staging rank %d crashall replay at dump %d: %w", myIdx, dump, err)
-				}
-				// The movement costs were paid by the crashed incarnation
-				// during ingest; fold them into the dump's ledger.
-				st.Requests = ist.Requests
-				st.Redistributed = ist.Redistributed
-				st.BytesPulled += ist.BytesPulled
-				st.PullModeled += ist.PullModeled
-				st.Retries += ist.Retries
-				st.CorruptPulls += ist.CorruptPulls
-				st.HedgedPulls += ist.HedgedPulls
-				st.HedgeWins += ist.HedgeWins
-				st.GatherWall = ist.GatherWall
-				if ist.Drops > 0 || ist.CorruptDrops > 0 {
-					st.Drops += ist.Drops
-					st.CorruptDrops += ist.CorruptDrops
-					r.Degraded = true
-					st.Degraded = true
-				}
-				results = append(results, r)
-				stats = append(stats, st)
-				continue
+				tally.Restarts++
+				cfg.Tracer.Instant(trace.PhaseRestart, world.Rank(), -1, dump, cur.Epoch, int64(replayed))
 			}
-			r, st, err := server.ServeDump(int64(dump), opsFor(dump))
-			if err != nil {
-				return fmt.Errorf("staging rank %d dump %d: %w", myIdx, dump, err)
+			switch {
+			case serving:
+				if fenced {
+					// Heal: the epoch advanced past the fence window, and
+					// every in-window request census excluded this rank, so
+					// nothing it serves from here on can double-process a
+					// chunk.
+					cfg.Tracer.Instant(trace.PhaseHeal, world.Rank(), -1, dump, cur.Epoch, 0)
+					tally.Heals++
+				}
+				if err := server.Reconfigure(active, cur.Epoch, time.Since(recStart)); err != nil {
+					return fmt.Errorf("staging rank %d reconfigure at dump %d: %w", myIdx, dump, err)
+				}
+			case down && !parked:
+				// Controlled bounce at the dump boundary: drain in-flight
+				// requests into the journal (buffered pending ones are
+				// already there), seal it, and drop off the fabric for the
+				// window.
+				for _, m := range ep.DrainCtl() {
+					if req, ok := m.Data.(FetchRequest); ok {
+						if err := server.journalRequest(req); err != nil {
+							return err
+						}
+					}
+				}
+				if err := closeJournal(); err != nil {
+					return err
+				}
+				if err := fab.FailEndpoint(world.Rank()); err != nil {
+					return err
+				}
+				parked = true
 			}
-			results = append(results, r)
-			stats = append(stats, st)
-			if journal != nil && cfg.CheckpointEvery > 0 && (dump+1)%cfg.CheckpointEvery == 0 {
-				// Dump-boundary checkpoint: everything below dump+1 is
-				// reduced and committed, so the journal compacts down to
-				// the records the checkpoint does not cover.
-				kept, err := journal.WriteCheckpoint(wal.Checkpoint{Epoch: epoch, NextDump: int64(dump) + 1})
+			// Fenced: alive and not bouncing, but cut off from the staging
+			// quorum. (An elastic reserve rank outside the pool is neither.)
+			fenced = !serving && !down && !quorum
+			if sc != nil {
+				var moved int64
+				var wall time.Duration
+				if sc.space != nil && len(next) > 0 && myIdx == next[0] {
+					// The designated survivor hands the shared space's
+					// shards over to the new active count.
+					hs := time.Now()
+					rs, err := sc.space.Resize(len(next))
+					if err != nil {
+						return fmt.Errorf("staging rank %d shard handoff at dump %d: %w", myIdx, dump, err)
+					}
+					moved, wall = rs.MovedCells, time.Since(hs)
+					cfg.Tracer.Instant(trace.PhaseHandoff, world.Rank(), -1, dump, cur.Epoch, moved)
+				}
+				sc.recordEpoch(myIdx, dump, cur.Epoch, prev, next, moved, wall)
+				// Every live rank stamps the epoch it enters: first dump,
+				// active count, and the active-index bitmask trace.Verify
+				// checks for cross-rank agreement and retired-rank silence.
+				var mask int64
+				for _, i := range next {
+					mask |= 1 << i
+				}
+				cfg.Tracer.Instant(trace.PhaseScaleEpoch, world.Rank(), len(next), dump, cur.Epoch, mask)
+			}
+			return nil
+		}
+
+		// boundary closes dump: a journal checkpoint on its cadence, then
+		// on elastic runs the autoscaler's telemetry exchange.
+		boundary := func(dump int64) error {
+			if journal != nil && cfg.CheckpointEvery > 0 && (dump+1)%int64(cfg.CheckpointEvery) == 0 {
+				// Everything below dump+1 this rank will ever reduce is
+				// reduced and committed, so the journal compacts down to the
+				// records the checkpoint does not cover.
+				kept, err := journal.WriteCheckpoint(wal.Checkpoint{Epoch: cur.Epoch, NextDump: dump + 1})
 				if err != nil {
 					return fmt.Errorf("staging rank %d checkpoint at dump %d: %w", myIdx, dump, err)
 				}
-				cfg.Tracer.Instant(trace.PhaseCheckpoint, world.Rank(), -1, int64(dump), int64(dump)+1, 0)
-				cfg.Tracer.Instant(trace.PhaseWalTruncate, world.Rank(), -1, int64(dump), int64(dump)+1, int64(kept))
-				reportMu.Lock()
-				report.Checkpoints++
-				reportMu.Unlock()
+				cfg.Tracer.Instant(trace.PhaseCheckpoint, world.Rank(), -1, dump, dump+1, 0)
+				cfg.Tracer.Instant(trace.PhaseWalTruncate, world.Rank(), -1, dump, dump+1, int64(kept))
+				tally.Checkpoints++
 			}
+			err := sc.observe(auto, alive, cfg.Tracer, world.Rank(), myIdx, dump, cur, served, lost)
+			served, lost = nil, 0
+			return err
 		}
-		res.StagingResults[myIdx] = results
-		res.StagingStats[myIdx] = stats
-		return nil
+
+		for dump := int64(0); dump < int64(cfg.Dumps); dump++ {
+			if dump > 0 {
+				if err := boundary(dump - 1); err != nil {
+					return err
+				}
+			}
+			nowLive := liveStagingAt(inj, cfg.NumCompute, cfg.NumStaging, dump)
+			_, next, err := views.view(dump)
+			if err != nil {
+				return err
+			}
+			if !slices.Equal(nowLive, live) || !slices.Equal(next, cur.Active) {
+				if err := installView(dump, nowLive, next, false); errors.Is(err, errCrashed) {
+					//predata:vet-ignore collectivecheck dump-aligned crash: this rank split out with color<0, so survivors' collectives use communicators that exclude it
+					return nil
+				} else if err != nil {
+					return err
+				}
+			}
+			serving := slices.Contains(cur.Active, myIdx)
+			crashAll := cfg.WALDir != "" && inj.CrashAllAt(dump)
+			var ingest *DumpStats
+			if crashAll {
+				// Whole-service crash drill, in three acts. Act 1: the
+				// crash-vulnerable half — serving ranks gather and pull the
+				// dump, journaling everything, with no collective or engine
+				// work (the state a process holds when the crash lands).
+				if serving {
+					if ingest, err = server.IngestDump(dump); err != nil {
+						return fmt.Errorf("staging rank %d crashall ingest at dump %d: %w", myIdx, dump, err)
+					}
+				}
+				// Act 2: the crash itself. Every live rank rebuilds from its
+				// journal under a fresh epoch (membership is unchanged —
+				// everyone died and everyone came back).
+				if err := installView(dump, live, cur.Active, true); err != nil {
+					return err
+				}
+			}
+			if !serving {
+				// Sat out. A bounced (parked) or fenced rank keeps dump
+				// indices aligned across ranks with a placeholder marked
+				// Degraded — it reduced nothing for the dump, its writers
+				// rerouted; an elastic reserve rank records nothing.
+				if parked || fenced {
+					results = append(results, &staging.Result{PerOperator: map[string]map[string]any{}, Degraded: true})
+					stats = append(stats, &DumpStats{Down: parked, Fenced: fenced, Degraded: true})
+				}
+				continue
+			}
+			var r *staging.Result
+			var st *DumpStats
+			if crashAll {
+				// Act 3: finish the dump out of the journal — partials from
+				// the recovered requests, chunks from the recovered records,
+				// no fabric pull.
+				r, st, err = server.ReplayDump(dump, opsFor(int(dump)))
+			} else {
+				r, st, err = server.ServeDump(dump, opsFor(int(dump)))
+			}
+			if err != nil {
+				return fmt.Errorf("staging rank %d dump %d: %w", myIdx, dump, err)
+			}
+			st.absorbIngest(ingest, r)
+			results = append(results, r)
+			stats = append(stats, st)
+			served = st.Overload
+		}
+		if cfg.Dumps == 0 {
+			return nil
+		}
+		return boundary(int64(cfg.Dumps) - 1)
 	})
 	if err != nil {
 		if timedOut.Load() {

@@ -108,15 +108,16 @@ type ClientConfig struct {
 	// result piggybacks on the fetch request.
 	PartialCalculate PartialFunc
 	// Faults is the shared fault plan, consulted for dump-indexed staging
-	// membership so writes route around crashed staging ranks. Nil means
-	// fault-free routing.
+	// membership so writes route around crashed, fenced and bouncing
+	// staging ranks. Nil means fault-free routing.
 	Faults *faults.Injector
-	// Membership, when non-nil, supplies the dump-indexed active staging
-	// set (ascending staging indices): Route then picks a position within
-	// that set instead of within the full staging area. Elastic pipelines
-	// install a hook that blocks — deadline-bounded — until the dump's
-	// active count has been announced. Nil keeps static fault-plan routing.
-	Membership func(timestep int64) ([]int, error)
+	// Membership, when non-nil, supplies the elastic pool size: each
+	// dump is served by the first Membership(dump) ranks the fault plan
+	// leaves serving, and Route picks a position within that pool
+	// instead of within the full staging area. Elastic pipelines install
+	// a hook that blocks — deadline-bounded — until the dump's size has
+	// been announced. Nil keeps the whole staging area as the pool.
+	Membership func(timestep int64) (int, error)
 	// Retry bounds transient-fault retries of the fetch-request send.
 	// Zero fields take DefaultRetryPolicy values.
 	Retry RetryPolicy
@@ -129,6 +130,7 @@ type ClientConfig struct {
 type Client struct {
 	cfg   ClientConfig
 	retry RetryPolicy
+	views *membership
 	// VisibleTime accumulates the I/O time visible to the simulation:
 	// partial calculation + packing + request dispatch.
 	VisibleTime time.Duration
@@ -156,7 +158,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Route == nil {
 		cfg.Route = DefaultRoute
 	}
-	return &Client{cfg: cfg, retry: cfg.Retry.withDefaults()}, nil
+	return &Client{
+		cfg:   cfg,
+		retry: cfg.Retry.withDefaults(),
+		views: newMembership(cfg.Faults, cfg.StagingBase, cfg.NumStaging, cfg.Membership),
+	}, nil
 }
 
 // Endpoint returns the client's fabric attachment, for callers that need
@@ -222,29 +228,18 @@ func (c *Client) Write(schema *ffs.Schema, rec ffs.Record, timestep int64) (time
 	buf := staging.Seal(enc)
 	c.cfg.Endpoint.SetEpoch(timestep)
 	h := c.cfg.Endpoint.Expose(buf)
-	var idx int
-	if c.cfg.Membership != nil {
-		set, err := c.cfg.Membership(timestep)
-		if err != nil {
-			return 0, fmt.Errorf("predata: resolving dump %d staging membership: %w", timestep, err)
-		}
-		if len(set) == 0 {
-			return 0, fmt.Errorf("predata: empty staging membership at dump %d", timestep)
-		}
-		idx = set[c.cfg.Route(c.cfg.WriterRank, c.cfg.NumCompute, len(set))]
-	} else {
-		var rerouted bool
-		var err error
-		idx, rerouted, err = effectiveRoute(c.cfg.Route, c.cfg.Faults,
-			c.cfg.WriterRank, c.cfg.NumCompute, c.cfg.NumStaging, c.cfg.StagingBase, timestep)
-		if err != nil {
-			return 0, err
-		}
-		if rerouted {
-			c.Rerouted++
-			c.cfg.Tracer.Instant(trace.PhaseReroute, c.cfg.Endpoint.ID(),
-				c.cfg.StagingBase+idx, timestep, 0, 0)
-		}
+	pool, active, err := c.views.view(timestep)
+	if err != nil {
+		return 0, err
+	}
+	idx, rerouted, err := c.views.place(pool, active, c.cfg.Route, c.cfg.WriterRank, c.cfg.NumCompute, timestep)
+	if err != nil {
+		return 0, err
+	}
+	if rerouted {
+		c.Rerouted++
+		c.cfg.Tracer.Instant(trace.PhaseReroute, c.cfg.Endpoint.ID(),
+			c.cfg.StagingBase+idx, timestep, 0, 0)
 	}
 	dst := c.cfg.StagingBase + idx
 	req := FetchRequest{
@@ -340,13 +335,13 @@ type ServerConfig struct {
 	// membership (which staging ranks serve which writers at dump t).
 	// Nil means fault-free membership.
 	Faults *faults.Injector
-	// Membership, when non-nil, supplies the dump-indexed active staging
-	// set: this rank serves the writers that Route maps to its position
-	// within the set, and serves nothing for dumps where it is parked.
-	// It must be the same function the clients route with. With
+	// Membership, when non-nil, supplies the elastic pool size exactly
+	// as ClientConfig.Membership does, and must be the same function the
+	// clients route with: this rank serves the writers Route maps to its
+	// position within the pool, and nothing for dumps it sits out. With
 	// Membership set, ServeDump always runs under the retry policy's
 	// DumpDeadline — the elastic scaling loop must be deadline-bounded.
-	Membership func(timestep int64) ([]int, error)
+	Membership func(timestep int64) (int, error)
 	// Retry bounds transient-fault retries and the per-dump gather
 	// deadline. Zero fields take DefaultRetryPolicy values; the deadline
 	// is enforced only when Faults is non-nil, preserving the fault-free
@@ -432,10 +427,11 @@ type DumpStats struct {
 type Server struct {
 	cfg    ServerConfig
 	retry  RetryPolicy
+	views  *membership
 	served []int // compute ranks this staging index serves, ascending
 	// pending buffers fetch requests that arrived for future timesteps.
 	pending map[int64][]FetchRequest
-	// servedBy caches the per-timestep served set under crash rerouting.
+	// servedBy caches the per-timestep served set under membership changes.
 	servedBy map[int64][]int
 	// replayable holds journaled chunk records recovered from a crashed
 	// incarnation's log, keyed by timestep, awaiting ReplayDump.
@@ -478,6 +474,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		servedBy:   make(map[int64][]int),
 		replayable: make(map[int64][]wal.Record),
 		epoch:      -1,
+		views:      newMembership(cfg.Faults, cfg.StagingBase, cfg.NumStaging, cfg.Membership),
 	}
 	for r := 0; r < cfg.NumCompute; r++ {
 		if cfg.Route(r, cfg.NumCompute, cfg.NumStaging) == cfg.StagingIndex {
@@ -492,52 +489,24 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 func (s *Server) Served() []int { return append([]int(nil), s.served...) }
 
 // servedAt returns the compute ranks this staging index serves at
-// timestep, accounting for crash rerouting (fault-free it is Served())
-// or, under a Membership hook, for the dump's active set: parked ranks
-// serve nothing, actives serve the writers Route maps to their
-// position within the set.
+// timestep: the writers the dump's membership view places here (fault
+// free and fixed-size, that is Served()).
 func (s *Server) servedAt(timestep int64) ([]int, error) {
-	if s.cfg.Membership != nil {
-		if cached, ok := s.servedBy[timestep]; ok {
-			return cached, nil
-		}
-		set, err := s.cfg.Membership(timestep)
-		if err != nil {
-			return nil, fmt.Errorf("predata: resolving dump %d staging membership: %w", timestep, err)
-		}
-		pos := -1
-		for i, idx := range set {
-			if idx == s.cfg.StagingIndex {
-				pos = i
-			}
-		}
-		served := []int{}
-		if pos >= 0 {
-			for r := 0; r < s.cfg.NumCompute; r++ {
-				if s.cfg.Route(r, s.cfg.NumCompute, len(set)) == pos {
-					served = append(served, r)
-				}
-			}
-		}
-		s.servedBy[timestep] = served
-		return served, nil
-	}
-	if s.cfg.Faults == nil ||
-		(len(s.cfg.Faults.Plan().Crashes) == 0 && len(s.cfg.Faults.Plan().Partitions) == 0 &&
-			len(s.cfg.Faults.Plan().Restarts) == 0) {
+	if s.views.fixed() {
 		return s.served, nil
 	}
 	if cached, ok := s.servedBy[timestep]; ok {
 		return cached, nil
 	}
+	pool, active, err := s.views.view(timestep)
+	if err != nil {
+		return nil, err
+	}
 	served := []int{}
 	for r := 0; r < s.cfg.NumCompute; r++ {
-		idx, _, err := effectiveRoute(s.cfg.Route, s.cfg.Faults,
-			r, s.cfg.NumCompute, s.cfg.NumStaging, s.cfg.StagingBase, timestep)
-		if err != nil {
-			continue // nobody alive to serve r; the pipeline validates against this
-		}
-		if idx == s.cfg.StagingIndex {
+		// A writer nobody can serve is left out; the pipeline validates
+		// its plans against that.
+		if idx, _, err := s.views.place(pool, active, s.cfg.Route, r, s.cfg.NumCompute, timestep); err == nil && idx == s.cfg.StagingIndex {
 			served = append(served, r)
 		}
 	}
@@ -550,11 +519,11 @@ func (s *Server) servedAt(timestep int64) ([]int, error) {
 func (s *Server) Epoch() int64 { return s.epoch }
 
 // Reconfigure installs the staging communicator for membership epoch
-// (a crash shrink or an elastic resize), charging the reconfiguration
-// wall time to the next served dump's stats. The server's StagingIndex
-// identity and routing are unchanged — membership is derived from
-// shared state (fault plan, elastic schedule), not from the
-// communicator.
+// (any membership view change — see the staging driver's installView),
+// charging the reconfiguration wall time to the next served dump's
+// stats. The server's StagingIndex identity and routing are unchanged —
+// membership is derived from shared state (fault plan, elastic
+// schedule), not from the communicator.
 //
 // Epochs only move forward: a Reconfigure whose epoch precedes the
 // installed one is a stale delivery and is rejected. Redelivering the
@@ -873,9 +842,7 @@ func (s *Server) ServeDump(timestep int64, ops []staging.Operator) (*staging.Res
 		return nil, stats, cerr
 	}
 	res.Degraded = res.Degraded || stats.Drops > 0 || stats.CorruptDrops > 0 ||
-		(stats.Overload != nil && stats.Overload.PassedChunks > 0) ||
-		(s.cfg.Faults != nil &&
-			len(activeStagingAt(s.cfg.Faults, s.cfg.StagingBase, s.cfg.NumStaging, timestep)) < s.cfg.NumStaging)
+		(stats.Overload != nil && stats.Overload.PassedChunks > 0) || s.views.degradedAt(timestep)
 	stats.Degraded = res.Degraded
 	return res, stats, nil
 }

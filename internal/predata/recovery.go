@@ -3,6 +3,7 @@ package predata
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"predata/internal/faults"
@@ -105,40 +106,36 @@ func liveStagingAt(inj *faults.Injector, stagingBase, numStaging int, dump int64
 	return live
 }
 
-// stagingQuorumAt reports whether live staging index i can reach a
-// strict majority of the live staging set (itself included) at dump —
-// the dump-aligned probe/quorum decision. A rank partitioned away from
-// the majority is *fenced* for the window: it is alive but must not
-// serve, or the two sides of the cut would run split-brain dumps
-// against the same membership epoch.
-func stagingQuorumAt(inj *faults.Injector, stagingBase int, live []int, i int, dump int64) bool {
+// stagingReachAt counts the live staging ranks (itself included) that
+// staging index i reaches at dump — the dump-aligned probe. A rank that
+// reaches no strict majority of the live set has lost quorum and is
+// *fenced* for the window: it is alive but must not serve, or the two
+// sides of the cut would run split-brain dumps against the same
+// membership epoch.
+func stagingReachAt(inj *faults.Injector, stagingBase int, live []int, i int, dump int64) int {
 	reach := 0
 	for _, j := range live {
 		if j == i || !inj.Unreachable(stagingBase+i, stagingBase+j, dump) {
 			reach++
 		}
 	}
-	return reach*2 > len(live)
+	return reach
 }
 
-// activeStagingAt returns the staging indices that serve dumps at dump:
-// the live (uncrashed) set, minus ranks a partition fences away from
-// the staging-side quorum, minus ranks sitting out a restart window
+// activeStagingAt returns the staging indices the fault plan lets serve
+// at dump: the live (uncrashed) set, minus ranks a partition fences away
+// from the staging-side quorum, minus ranks sitting out a restart window
 // (down for the bounce but still live membership — they rejoin with
 // their journal). With no partitions or restarts in the plan it is
 // exactly liveStagingAt, so crash-only schedules keep their behavior.
 func activeStagingAt(inj *faults.Injector, stagingBase, numStaging int, dump int64) []int {
 	live := liveStagingAt(inj, stagingBase, numStaging, dump)
-	if inj == nil || (len(inj.Plan().Partitions) == 0 && len(inj.Plan().Restarts) == 0) {
+	if len(inj.Plan().Partitions) == 0 && len(inj.Plan().Restarts) == 0 {
 		return live
 	}
-	hasPartitions := len(inj.Plan().Partitions) > 0
 	active := make([]int, 0, len(live))
 	for _, i := range live {
-		if inj.RestartDownAt(stagingBase+i, dump) {
-			continue
-		}
-		if hasPartitions && !stagingQuorumAt(inj, stagingBase, live, i, dump) {
+		if inj.RestartDownAt(stagingBase+i, dump) || 2*stagingReachAt(inj, stagingBase, live, i, dump) <= len(live) {
 			continue
 		}
 		active = append(active, i)
@@ -146,53 +143,102 @@ func activeStagingAt(inj *faults.Injector, stagingBase, numStaging int, dump int
 	return active
 }
 
-// effectiveRoute resolves the staging index serving writerRank at dump,
-// rehashing onto the surviving ranks when the primary's endpoint has
-// crashed, and walking past staging ranks the writer cannot reach (or
-// that are fenced without quorum) when a partition cuts the link. Both
-// sides of the fabric derive membership from the same shared fault plan
-// — the modeled equivalent of a dump-aligned probe — so producers and
-// survivors agree on each dump's request census without running a
-// membership protocol. The conventional layout is assumed: writer rank
-// r lives at fabric endpoint r.
-func effectiveRoute(route RouteFunc, inj *faults.Injector, writerRank, numCompute, numStaging, stagingBase int, dump int64) (idx int, rerouted bool, err error) {
-	primary := route(writerRank, numCompute, numStaging)
-	if inj == nil {
-		return primary, false, nil
+// View is one dump's staging membership: the epoch that installed it
+// and the ascending staging indices that serve the dump.
+type View struct {
+	Epoch  int64
+	Active []int
+}
+
+// membership is the one view source every party consults: clients route
+// with it, servers derive their served writers from it, and the staging
+// driver installs the views it yields. It derives each dump's membership
+// from shared state alone — the fault plan's live set, quorum verdicts
+// and restart windows, and on elastic runs the autoscaler's announced
+// pool size — so producers and staging ranks agree on every dump's
+// request census without running a membership protocol.
+type membership struct {
+	inj         *faults.Injector
+	stagingBase int
+	// all is every staging index; faulty reports a plan that changes
+	// membership (crashes, partitions or restarts).
+	all    []int
+	faulty bool
+	// poolSize, when non-nil, returns the autoscaler's announced active
+	// count for a dump, waiting (deadline-bounded) for the announcement.
+	poolSize func(dump int64) (int, error)
+}
+
+func newMembership(inj *faults.Injector, stagingBase, numStaging int, poolSize func(int64) (int, error)) *membership {
+	plan := inj.Plan()
+	return &membership{
+		inj:         inj,
+		stagingBase: stagingBase,
+		all:         liveStagingAt(nil, stagingBase, numStaging, 0),
+		faulty:      len(plan.Crashes)+len(plan.Partitions)+len(plan.Restarts) > 0,
+		poolSize:    poolSize,
 	}
-	active := activeStagingAt(inj, stagingBase, numStaging, dump)
+}
+
+// fixed reports that every dump's view is the whole staging area.
+func (m *membership) fixed() bool { return !m.faulty && m.poolSize == nil }
+
+// view returns dump's pool — the staging indices routes map over — and
+// its active set, the ranks that serve it. A fixed-size pool is the
+// whole staging area and its active set whatever the fault plan leaves
+// serving; an elastic pool is the first poolSize ranks of that set, so
+// a fenced or bouncing rank's place goes to a reserve.
+func (m *membership) view(dump int64) (pool, active []int, err error) {
+	if m.fixed() {
+		return m.all, m.all, nil
+	}
+	active = activeStagingAt(m.inj, m.stagingBase, len(m.all), dump)
+	if m.poolSize == nil {
+		return m.all, active, nil
+	}
+	n, err := m.poolSize(dump)
+	if err != nil {
+		return nil, nil, fmt.Errorf("predata: resolving dump %d staging membership: %w", dump, err)
+	}
+	active = active[:min(n, len(active))]
+	return active, active, nil
+}
+
+// degradedAt reports whether the fault plan leaves fewer than every
+// staging rank serving at dump.
+func (m *membership) degradedAt(dump int64) bool {
+	return m.faulty && len(activeStagingAt(m.inj, m.stagingBase, len(m.all), dump)) < len(m.all)
+}
+
+// place resolves the staging index serving writerRank in a dump's view:
+// its route over the pool, rehashed onto the active set when that rank
+// is out of it (crashed, fenced, parked), and walked past staging ranks
+// the writer cannot reach when a partition cuts the link. The
+// conventional layout is assumed: writer rank r lives at fabric
+// endpoint r.
+func (m *membership) place(pool, active []int, route RouteFunc, writerRank, numCompute int, dump int64) (idx int, rerouted bool, err error) {
 	if len(active) == 0 {
-		if len(liveStagingAt(inj, stagingBase, numStaging, dump)) == 0 {
+		if len(liveStagingAt(m.inj, m.stagingBase, len(m.all), dump)) == 0 {
 			return 0, false, fmt.Errorf("predata: no staging rank alive at dump %d: %w", dump, faults.ErrEndpointDown)
 		}
 		return 0, false, fmt.Errorf("predata: no staging rank holds quorum at dump %d (partition split the staging area evenly): %w",
 			dump, faults.ErrUnreachable)
 	}
+	slot := route(writerRank, numCompute, len(pool))
 	reachable := func(i int) bool {
-		return !inj.Unreachable(writerRank, stagingBase+i, dump)
+		return !m.inj.Unreachable(writerRank, m.stagingBase+i, dump)
 	}
-	if contains(active, primary) && reachable(primary) {
+	if primary := pool[slot]; slices.Contains(active, primary) && reachable(primary) {
 		return primary, false, nil
 	}
 	// Walk the active set starting from the crash-rehash position, so
 	// crash-only plans land exactly where they always did, and a writer
 	// partitioned from that rank slides to the next reachable one.
-	start := primary % len(active)
 	for k := 0; k < len(active); k++ {
-		c := active[(start+k)%len(active)]
-		if reachable(c) {
-			return c, c != primary, nil
+		if c := active[(slot+k)%len(active)]; reachable(c) {
+			return c, c != pool[slot], nil
 		}
 	}
 	return 0, false, fmt.Errorf("predata: writer %d cannot reach any active staging rank at dump %d: %w",
 		writerRank, dump, faults.ErrUnreachable)
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -28,6 +28,17 @@ func TestRetryPolicyBackoffBounds(t *testing.T) {
 	}
 }
 
+// effectiveRoute resolves writerRank's staging index at dump through a
+// fixed-size pool's membership view.
+func effectiveRoute(route RouteFunc, inj *faults.Injector, writerRank, numCompute, numStaging, stagingBase int, dump int64) (int, bool, error) {
+	m := newMembership(inj, stagingBase, numStaging, nil)
+	pool, active, err := m.view(dump)
+	if err != nil {
+		return 0, false, err
+	}
+	return m.place(pool, active, route, writerRank, numCompute, dump)
+}
+
 func TestEffectiveRouteRehash(t *testing.T) {
 	plan := faults.Plan{Crashes: []faults.Crash{{Endpoint: 9, AtDump: 2}}}
 	inj, err := faults.NewInjector(plan)

@@ -99,7 +99,7 @@ func TestRestartRecoveryLossless(t *testing.T) {
 // finishes the dump by replay. Every dump's results — including the
 // crashed one — must be byte-identical to the fault-free run, with
 // nothing Degraded, and the flight recording must pass the WAL replay
-// fidelity and restart exclusivity rules.
+// fidelity and at-most-once view-change rules.
 func TestCrashAllRecoveryBitIdentical(t *testing.T) {
 	const (
 		numCompute = 8
@@ -171,14 +171,14 @@ func TestCrashAllRecoveryBitIdentical(t *testing.T) {
 	if rep.WALChecks == 0 {
 		t.Errorf("no WAL replay fidelity checks ran: %+v", rep)
 	}
-	if rep.RestartChecks == 0 {
-		t.Errorf("no restart exclusivity checks ran: %+v", rep)
+	if rep.ExclusivityChecks == 0 {
+		t.Errorf("no at-most-once checks ran: %+v", rep)
 	}
 }
 
 // TestCheckpointTruncatesJournal: with a checkpoint cadence, the journal
 // compacts at dump boundaries and the recording orders every truncate
-// after a covering checkpoint (verify rule 12 runs non-vacuously).
+// after a covering checkpoint (verify rule 11 runs non-vacuously).
 func TestCheckpointTruncatesJournal(t *testing.T) {
 	const (
 		numCompute = 4

@@ -11,23 +11,22 @@ import (
 // report with no Violations means every invariant held on every
 // group the recording contained.
 type VerifyReport struct {
-	Events           int      // events inspected
-	CollectiveGroups int      // (dump, communicator) groups compared
-	Collectives      int      // collective instants inspected
-	ShuffleEdges     int      // (dump, operator) shuffle→reduce edges checked
-	ReplayChecks     int      // (rank, dump) replay-before-reduce checks
-	LeaseRanks       int      // ranks whose lease peak was bounded
-	ScaleEpochs      int      // resize epochs cross-checked across ranks
-	ChunkChecks      int      // dumps whose chunk conservation was checked
-	CorruptChecks    int      // corrupt-dropped (dump, writer) pairs quarantine-checked
-	HealChecks       int      // (dump, writer) pairs checked for double-processing across heals
-	HedgeChecks      int      // (rank, dump, writer) hedge races checked for resolution
-	WALChecks        int      // (dump, writer) wal-replay events matched against journal appends
-	RestartChecks    int      // (dump, writer) pairs checked for double-processing across restarts
-	CheckpointChecks int      // journal truncations checked for a covering checkpoint
-	TenantChecks     int      // serve objects checked for single-tenant access
-	CacheChecks      int      // serve cache hits checked against invalidation epochs
-	Violations       []string // human-readable invariant failures
+	Events            int      // events inspected
+	CollectiveGroups  int      // (dump, communicator) groups compared
+	Collectives       int      // collective instants inspected
+	ShuffleEdges      int      // (dump, operator) shuffle→reduce edges checked
+	ReplayChecks      int      // (rank, dump) replay-before-reduce checks
+	LeaseRanks        int      // ranks whose lease peak was bounded
+	ScaleEpochs       int      // resize epochs cross-checked across ranks
+	ChunkChecks       int      // dumps whose chunk coverage was checked across handoffs
+	CorruptChecks     int      // corrupt-dropped (dump, writer) pairs quarantine-checked
+	ExclusivityChecks int      // (dump, writer) pairs checked for at-most-once reduction across view changes
+	HedgeChecks       int      // (rank, dump, writer) hedge races checked for resolution
+	WALChecks         int      // (dump, writer) wal-replay events matched against journal appends
+	CheckpointChecks  int      // journal truncations checked for a covering checkpoint
+	TenantChecks      int      // serve objects checked for single-tenant access
+	CacheChecks       int      // serve cache hits checked against invalidation epochs
+	Violations        []string // human-readable invariant failures
 }
 
 // Verify checks runtime ordering invariants from a recording alone:
@@ -51,20 +50,19 @@ type VerifyReport struct {
 //     agrees on its first dump and active-member mask, and ranks
 //     outside the mask record no serving activity for dumps governed by
 //     that epoch (retired and parked ranks are silent).
-//  6. Chunk conservation across handoff — on recordings containing
-//     resize epochs, every writer's chunk for every served dump is
-//     processed exactly once somewhere (or explicitly passed through or
-//     accounted as dropped): nothing is lost and nothing double-reduced
-//     when shards and routes move between ranks.
-//  7. Corruption quarantine — a (dump, writer) chunk abandoned as
+//  6. At-most-once reduction across view changes — on recordings
+//     containing a membership view change (a resize epoch, a partition
+//     heal, or a restart), no (dump, writer) chunk is engine-retired
+//     more than once across all ranks and incarnations.
+//  7. Chunk coverage across handoff — on recordings containing resize
+//     epochs, every writer's chunk for every served dump is processed
+//     somewhere, passed through raw, or accounted as dropped: nothing is
+//     lost when shards and routes move between ranks.
+//  8. Corruption quarantine — a (dump, writer) chunk abandoned as
 //     corrupt (PhaseCorruptDrop) must never have been retired by any
 //     rank's engine (PhaseChunk): damaged bytes cannot reach Reduce.
 //     Every corrupt-drop must also carry at least one preceding CRC
 //     detection — quarantine without evidence is a runtime bug.
-//  8. Heal exclusivity — on recordings containing a partition heal
-//     (PhaseHeal), no (dump, writer) chunk is engine-retired more than
-//     once: a rank rejoining after a fence window never re-processes
-//     work the quorum side already reduced.
 //  9. Hedge resolution — per (rank, dump, writer), every hedged pull
 //     launched (PhaseHedge) resolved its race (PhaseHedgeCancel, which
 //     cancels the losing attempt), and no resolution appears without a
@@ -74,20 +72,16 @@ type VerifyReport struct {
 //     journal append (PhaseJournal) with the same payload checksum:
 //     recovery re-enters exactly the bytes that were journaled, never
 //     an invented or mutated chunk.
-//  11. Restart exclusivity — on recordings containing a restart
-//     (PhaseRestart), no (dump, writer) chunk is engine-retired more
-//     than once: the journal's commit dedup keeps a recovered
-//     incarnation from re-reducing dumps the crashed one completed.
-//  12. Checkpoint-before-truncate — per rank, every journal truncation
+//  11. Checkpoint-before-truncate — per rank, every journal truncation
 //     (PhaseWalTruncate) is preceded by a checkpoint (PhaseCheckpoint)
 //     covering at least the dumps the truncation discarded: journal
 //     bytes only disappear behind a durable checkpoint.
-//  13. Tenant isolation — on serve recordings, every object (identified
+//  12. Tenant isolation — on serve recordings, every object (identified
 //     by the hash of its tenant-qualified name, recorded in Seq at the
 //     space boundary) is touched by exactly one tenant across ingest,
 //     query, and cache events: a second tenant ID on the same object
 //     means a query result crossed a namespace.
-//  14. Cache coherence — per object, in time order, every cache hit's
+//  13. Cache coherence — per object, in time order, every cache hit's
 //     entry epoch (Arg = the epoch the entry was filled under) is at
 //     least the epoch installed by the latest invalidation that
 //     strictly precedes the hit: no cached result is served for an
@@ -120,12 +114,10 @@ func Verify(rec *Recording) (*VerifyReport, error) {
 	verifyReplayOrder(rec, rep)
 	verifyLeasePeaks(rec, rep)
 	verifyScaleEpochs(rec, rep)
-	verifyChunkConservation(rec, rep)
+	verifyViewChanges(rec, rep)
 	verifyCorruptionQuarantine(rec, rep)
-	verifyHealExclusivity(rec, rep)
 	verifyHedgeResolution(rec, rep)
 	verifyWalReplayFidelity(rec, rep)
-	verifyRestartExclusivity(rec, rep)
 	verifyCheckpointOrder(rec, rep)
 	verifyTenantIsolation(rec, rep)
 	verifyCacheCoherence(rec, rep)
@@ -483,32 +475,24 @@ func popcount(m int64) int64 {
 	return n
 }
 
-// verifyChunkConservation applies only to recordings that contain
-// resize epochs (other pipelines may filter chunks without tracing the
-// decision). Per served dump, every chunk a writer produced must be
-// accounted exactly once across the whole job: processed by some rank's
-// engine (PhaseChunk), passed through raw (PhasePass), or explicitly
-// dropped against a dead endpoint (PhaseDrop). A writer covered twice
-// by PhaseChunk was double-reduced across a handoff; a writer covered
-// by nothing was lost.
-func verifyChunkConservation(rec *Recording, rep *VerifyReport) {
-	if rec.NumCompute <= 0 {
-		return
-	}
-	hasScale := false
-	for i := range rec.Events {
-		if rec.Events[i].Phase == PhaseScaleEpoch {
-			hasScale = true
-			break
-		}
-	}
-	if !hasScale {
-		return
-	}
+// verifyViewChanges checks the chunk accounting of membership view
+// changes. Routes move whenever a view changes — a resize epoch, a
+// partition fence and heal, a restart or crashall rebuild — so on any
+// recording containing one, each (dump, writer) chunk must be
+// engine-retired (PhaseChunk) at most once across all ranks and
+// incarnations: a rank rejoining never re-processes work another side
+// already reduced, and a recovered incarnation's journal dedup never
+// re-reduces a committed dump. On recordings with resize epochs every
+// chunk must also be covered — processed, passed through raw
+// (PhasePass), or explicitly dropped (PhaseDrop, PhaseCorruptDrop) — or
+// it was lost across a handoff. Coverage stays gated on resize epochs:
+// other pipelines may filter chunks without tracing the decision.
+func verifyViewChanges(rec *Recording, rep *VerifyReport) {
 	type dw struct {
 		dump   int64
 		writer int64
 	}
+	var scaled, healed, restarted bool
 	processed := map[dw]int{}
 	covered := map[int64]map[int64]bool{}
 	mark := func(dump, writer int64) {
@@ -519,6 +503,14 @@ func verifyChunkConservation(rec *Recording, rep *VerifyReport) {
 	}
 	for i := range rec.Events {
 		e := &rec.Events[i]
+		switch e.Phase {
+		case PhaseScaleEpoch:
+			scaled = true
+		case PhaseHeal:
+			healed = true
+		case PhaseRestart:
+			restarted = true
+		}
 		if e.Dump < 0 {
 			continue
 		}
@@ -532,6 +524,39 @@ func verifyChunkConservation(rec *Recording, rep *VerifyReport) {
 			mark(e.Dump, e.Seq)
 		}
 	}
+	var causes []string
+	if scaled {
+		causes = append(causes, "a resize handoff")
+	}
+	if healed {
+		causes = append(causes, "a partition heal")
+	}
+	if restarted {
+		causes = append(causes, "a restart (journal dedup failed)")
+	}
+	if len(causes) == 0 {
+		return
+	}
+	keys := make([]dw, 0, len(processed))
+	for k := range processed {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].dump != keys[j].dump {
+			return keys[i].dump < keys[j].dump
+		}
+		return keys[i].writer < keys[j].writer
+	})
+	for _, k := range keys {
+		rep.ExclusivityChecks++
+		if n := processed[k]; n > 1 {
+			rep.fail("dump %d: writer %d's chunk processed %d times across %s — double-reduced",
+				k.dump, k.writer, n, strings.Join(causes, " or "))
+		}
+	}
+	if !scaled || rec.NumCompute <= 0 {
+		return
+	}
 	dumps := make([]int64, 0, len(covered))
 	for d := range covered {
 		dumps = append(dumps, d)
@@ -540,9 +565,6 @@ func verifyChunkConservation(rec *Recording, rep *VerifyReport) {
 	for _, d := range dumps {
 		rep.ChunkChecks++
 		for w := int64(0); w < int64(rec.NumCompute); w++ {
-			if n := processed[dw{d, w}]; n > 1 {
-				rep.fail("dump %d: writer %d's chunk processed %d times — double-reduced across handoff", d, w, n)
-			}
 			if !covered[d][w] {
 				rep.fail("dump %d: writer %d's chunk neither processed, passed, nor dropped — lost across handoff", d, w)
 			}
@@ -601,53 +623,6 @@ func verifyCorruptionQuarantine(rec *Recording, rep *VerifyReport) {
 		if !detected[k] {
 			rep.fail("dump %d: writer %d's chunk was corrupt-dropped without any recorded CRC detection",
 				k.dump, k.writer)
-		}
-	}
-}
-
-// verifyHealExclusivity applies to recordings that contain a partition
-// heal: a fenced rank rejoined the serving set, so routes moved twice
-// (away at the fence, back at the heal). Per (dump, writer) the chunk
-// must be engine-retired at most once across all ranks — the
-// epoch-fenced rejoin contract that healed ranks never re-process work
-// the quorum side already reduced.
-func verifyHealExclusivity(rec *Recording, rep *VerifyReport) {
-	hasHeal := false
-	for i := range rec.Events {
-		if rec.Events[i].Phase == PhaseHeal {
-			hasHeal = true
-			break
-		}
-	}
-	if !hasHeal {
-		return
-	}
-	type dw struct {
-		dump   int64
-		writer int64
-	}
-	processed := map[dw]int{}
-	for i := range rec.Events {
-		e := &rec.Events[i]
-		if e.Phase == PhaseChunk && e.Dump >= 0 {
-			processed[dw{e.Dump, e.Seq}]++
-		}
-	}
-	keys := make([]dw, 0, len(processed))
-	for k := range processed {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].dump != keys[j].dump {
-			return keys[i].dump < keys[j].dump
-		}
-		return keys[i].writer < keys[j].writer
-	})
-	for _, k := range keys {
-		rep.HealChecks++
-		if n := processed[k]; n > 1 {
-			rep.fail("dump %d: writer %d's chunk processed %d times across a partition heal — double-reduced",
-				k.dump, k.writer, n)
 		}
 	}
 }
@@ -743,53 +718,6 @@ func verifyWalReplayFidelity(rec *Recording, rep *VerifyReport) {
 		if !journaled[k][e.Arg] {
 			rep.fail("dump %d: writer %d's replayed chunk checksum %#x matches no journal append",
 				e.Dump, e.Seq, uint32(e.Arg))
-		}
-	}
-}
-
-// verifyRestartExclusivity applies to recordings that contain a restart
-// recovery (PhaseRestart): a recovered incarnation replays the journal
-// tail and dedupes against committed dumps, so per (dump, writer) the
-// chunk must be engine-retired at most once across all ranks and both
-// incarnations — the journal's commit records make re-reducing a
-// completed dump impossible, and the trace must agree.
-func verifyRestartExclusivity(rec *Recording, rep *VerifyReport) {
-	hasRestart := false
-	for i := range rec.Events {
-		if rec.Events[i].Phase == PhaseRestart {
-			hasRestart = true
-			break
-		}
-	}
-	if !hasRestart {
-		return
-	}
-	type dw struct {
-		dump   int64
-		writer int64
-	}
-	processed := map[dw]int{}
-	for i := range rec.Events {
-		e := &rec.Events[i]
-		if e.Phase == PhaseChunk && e.Dump >= 0 {
-			processed[dw{e.Dump, e.Seq}]++
-		}
-	}
-	keys := make([]dw, 0, len(processed))
-	for k := range processed {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].dump != keys[j].dump {
-			return keys[i].dump < keys[j].dump
-		}
-		return keys[i].writer < keys[j].writer
-	})
-	for _, k := range keys {
-		rep.RestartChecks++
-		if n := processed[k]; n > 1 {
-			rep.fail("dump %d: writer %d's chunk processed %d times across a restart — journal dedup failed",
-				k.dump, k.writer, n)
 		}
 	}
 }

@@ -51,8 +51,8 @@ func TestVerifyAdversaryClean(t *testing.T) {
 	if rep.CorruptChecks != 1 {
 		t.Errorf("CorruptChecks = %d, want 1", rep.CorruptChecks)
 	}
-	if rep.HealChecks != 5 {
-		t.Errorf("HealChecks = %d, want 5 (every engine-retired (dump, writer))", rep.HealChecks)
+	if rep.ExclusivityChecks != 5 {
+		t.Errorf("ExclusivityChecks = %d, want 5 (every engine-retired (dump, writer))", rep.ExclusivityChecks)
 	}
 	if rep.HedgeChecks != 1 {
 		t.Errorf("HedgeChecks = %d, want 1", rep.HedgeChecks)
@@ -148,7 +148,7 @@ func TestVerifyHealExclusivityGatedOnHeals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("heal-free recording tripped exclusivity: %v", err)
 	}
-	if rep.HealChecks != 0 {
-		t.Fatalf("HealChecks = %d without a heal event", rep.HealChecks)
+	if rep.ExclusivityChecks != 0 {
+		t.Fatalf("ExclusivityChecks = %d without a heal event", rep.ExclusivityChecks)
 	}
 }

@@ -48,8 +48,8 @@ func TestVerifyRestartClean(t *testing.T) {
 	if rep.WALChecks != 2 {
 		t.Errorf("WALChecks = %d, want 2", rep.WALChecks)
 	}
-	if rep.RestartChecks != 4 {
-		t.Errorf("RestartChecks = %d, want 4 (every engine-retired (dump, writer))", rep.RestartChecks)
+	if rep.ExclusivityChecks != 4 {
+		t.Errorf("ExclusivityChecks = %d, want 4 (every engine-retired (dump, writer))", rep.ExclusivityChecks)
 	}
 	if rep.CheckpointChecks != 1 {
 		t.Errorf("CheckpointChecks = %d, want 1", rep.CheckpointChecks)
@@ -131,7 +131,7 @@ func TestVerifyRestartDetectsViolations(t *testing.T) {
 	}
 }
 
-// Without a PhaseRestart event the restart-exclusivity rule must stay
+// Without a PhaseRestart event the at-most-once rule must stay
 // out, and without PhaseWalReplay events the fidelity rule runs zero
 // checks: restart-free pipelines may re-deliver without the journal's
 // dedup guarantee.
@@ -152,8 +152,8 @@ func TestVerifyRestartRulesGated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart-free recording tripped exclusivity: %v", err)
 	}
-	if rep.RestartChecks != 0 || rep.WALChecks != 0 {
-		t.Fatalf("RestartChecks=%d WALChecks=%d without restart/replay events",
-			rep.RestartChecks, rep.WALChecks)
+	if rep.ExclusivityChecks != 0 || rep.WALChecks != 0 {
+		t.Fatalf("ExclusivityChecks=%d WALChecks=%d without restart/replay events",
+			rep.ExclusivityChecks, rep.WALChecks)
 	}
 }

@@ -144,49 +144,55 @@ func Open(dir string) (*Log, error) {
 // Dir returns the directory the journal lives in.
 func (l *Log) Dir() string { return l.dir }
 
-func (l *Log) append(rec Record) error {
+// Append journals one record and returns the payload CRC32 its frame
+// header carries, so callers that log the checksum need not hash the
+// payload a second time.
+func (l *Log) Append(rec Record) (uint32, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	start := time.Now()
 	if l.closed {
-		return fmt.Errorf("wal: append to closed journal %s", l.path)
+		return 0, fmt.Errorf("wal: append to closed journal %s", l.path)
 	}
 	if len(rec.Payload) > maxRecord {
-		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte frame cap", len(rec.Payload), maxRecord)
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte frame cap", len(rec.Payload), maxRecord)
 	}
+	crc := crc32.ChecksumIEEE(rec.Payload)
 	var hdr [headerSize]byte
 	hdr[0] = byte(rec.Kind)
 	binary.LittleEndian.PutUint64(hdr[1:9], uint64(rec.Writer))
 	binary.LittleEndian.PutUint64(hdr[9:17], uint64(rec.Timestep))
 	binary.LittleEndian.PutUint32(hdr[17:21], uint32(len(rec.Payload)))
-	binary.LittleEndian.PutUint32(hdr[21:25], crc32.ChecksumIEEE(rec.Payload))
+	binary.LittleEndian.PutUint32(hdr[21:25], crc)
 	if _, err := l.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
+		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	if _, err := l.w.Write(rec.Payload); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
+		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	l.records++
 	l.bytes += int64(headerSize + len(rec.Payload))
 	l.wall += time.Since(start)
-	return nil
+	return crc, nil
 }
 
 // AppendChunk journals one pulled chunk's packed bytes.
 func (l *Log) AppendChunk(writer int, timestep int64, payload []byte) error {
-	return l.append(Record{Kind: KindChunk, Writer: writer, Timestep: timestep, Payload: payload})
+	_, err := l.Append(Record{Kind: KindChunk, Writer: writer, Timestep: timestep, Payload: payload})
+	return err
 }
 
 // AppendRequest journals one consumed fetch request (caller-serialized).
 func (l *Log) AppendRequest(writer int, timestep int64, blob []byte) error {
-	return l.append(Record{Kind: KindRequest, Writer: writer, Timestep: timestep, Payload: blob})
+	_, err := l.Append(Record{Kind: KindRequest, Writer: writer, Timestep: timestep, Payload: blob})
+	return err
 }
 
 // AppendCommit journals the dump-boundary commit marker and makes the
 // journal durable through it (flush + fsync) — the point after which a
 // restart must not re-reduce the dump.
 func (l *Log) AppendCommit(timestep int64) error {
-	if err := l.append(Record{Kind: KindCommit, Writer: -1, Timestep: timestep}); err != nil {
+	if _, err := l.Append(Record{Kind: KindCommit, Writer: -1, Timestep: timestep}); err != nil {
 		return err
 	}
 	return l.Sync()
