@@ -1,7 +1,7 @@
 GO ?= go
 VET_BIN := bin/predata-vet
 
-.PHONY: all build test race fmt vet vet-fixtures bench-smoke perfbench-test trace-test elastic-soak adversary-soak restart-soak serve-soak evaluation clean
+.PHONY: all build test race fmt vet vet-fixtures bench-smoke fuzz-smoke perfbench-test trace-test elastic-soak adversary-soak restart-soak serve-soak evaluation clean
 
 all: build vet test
 
@@ -37,6 +37,17 @@ $(VET_BIN): $(shell find cmd/predata-vet internal/analysis -name '*.go' -not -pa
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
+
+# fuzz-smoke runs every Fuzz* target in the module for 5 s each. go test
+# fuzzes one target per invocation, so targets are discovered from the
+# test sources and run one at a time.
+fuzz-smoke:
+	@set -e; for file in $$(grep -rl --include='*_test.go' '^func Fuzz' internal cmd); do \
+		for name in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$file); do \
+			echo "fuzz $$name ./$$(dirname $$file)"; \
+			$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 5s ./$$(dirname $$file); \
+		done; \
+	done
 
 # perfbench-test vets and tests the benchmark harness. perfbench/ is a
 # nested module (it replaces predata with the parent tree), so the

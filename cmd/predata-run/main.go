@@ -61,7 +61,7 @@ func main() {
 		checkpointEvery = flag.Int("checkpoint-every", 0,
 			"write a dump-boundary checkpoint and truncate the journals every N dumps (0 disables; requires -wal-dir)")
 		tracePath = flag.String("trace", "",
-			"flight-record the run and write the trace here (.json: Chrome trace_event; otherwise PDTRACE1 binary; staging mode only)")
+			"flight-record the run and write the trace here (.json: Chrome trace_event; otherwise PDTRACE2 binary; staging mode only)")
 		elasticSpec = flag.String("elastic", "",
 			"autoscale the active staging pool within \"min:max\" of the provisioned -staging ranks (staging mode only)")
 		scalePolicy = flag.String("scale-policy", "",
@@ -285,7 +285,7 @@ func run(app string, compute, stagingN, particles, local, frames, dumps, workers
 
 // exportTrace snapshots the flight recorder, checks the recording against
 // the runtime invariants, and writes it to path — Chrome trace_event JSON
-// for a .json suffix, PDTRACE1 binary otherwise.
+// for a .json suffix, PDTRACE2 binary otherwise.
 func exportTrace(recorder *trace.Recorder, path string) error {
 	rec := recorder.Snapshot()
 	f, err := os.Create(path)

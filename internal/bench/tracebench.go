@@ -77,63 +77,86 @@ func traceWorkload(numCompute, numStaging, perRank, dumps int, tracer *trace.Rec
 	return time.Since(start), err
 }
 
-// tracePair runs reps back-to-back (untraced, traced) pairs of the
-// workload and reports the median paired overhead ratio. Pairing puts
-// both legs under the same instantaneous machine load, and the median
-// of per-pair ratios discards the pairs a GC cycle or scheduler stall
-// landed in — the noise on a ~250 ms goroutine pipeline is far larger
-// than the recorder's true cost, so min-vs-min or mean estimators
-// flake. Also returns each leg's fastest wall clock (for the report
-// table) and the recording of the fastest traced repetition.
-func tracePair(reps, numCompute, numStaging, perRank, dumps int) (untraced, traced time.Duration, overheadPct float64, bestRec *trace.Recording, err error) {
-	untraced, traced = -1, -1
+// pairedOverhead runs reps back-to-back (base, treated) pairs of a
+// workload and reports treated's median paired overhead over base, in
+// percent. Pairing puts both legs under the same instantaneous machine
+// load, and the median of per-pair ratios discards the pairs a GC cycle
+// or scheduler stall landed in — the noise on a goroutine pipeline of a
+// few hundred milliseconds is far larger than the costs measured here,
+// so min-vs-min or mean estimators flake. Also returns each leg's
+// fastest wall clock (for the report tables).
+func pairedOverhead(reps int, base, treated func() (time.Duration, error)) (bestBase, bestTreated time.Duration, overheadPct float64, err error) {
+	bestBase, bestTreated = -1, -1
 	ratios := make([]float64, 0, reps)
-	timed := func(rec *trace.Recorder) (time.Duration, error) {
+	timed := func(leg func() (time.Duration, error)) (time.Duration, error) {
 		// Start every leg from a collected heap so GC cycles triggered by
 		// the previous leg's garbage don't land inside this one's timing.
 		runtime.GC()
-		return traceWorkload(numCompute, numStaging, perRank, dumps, rec, nil)
+		return leg()
 	}
 	for i := 0; i < reps; i++ {
-		// Right-size the rings for this workload (~200 events): the
-		// default 16×8192 rings hold 7 MB live, enough to shift GC pacing
-		// in an allocation-heavy pipeline and drown the recording cost we
-		// are measuring. Capacity stays ~40× the event count, so nothing
-		// drops.
-		rec := trace.New(trace.Config{
-			NumCompute: numCompute, NumStaging: numStaging, Dumps: dumps,
-			Shards: 4, ShardCapacity: 2048,
-		})
-		var u, tr time.Duration
+		var b, tr time.Duration
 		// Alternate which leg runs first so any second-run-in-a-pair
 		// effect (warmer heap, pending background work) cancels out.
 		if i%2 == 0 {
-			if u, err = timed(nil); err == nil {
-				tr, err = timed(rec)
+			if b, err = timed(base); err == nil {
+				tr, err = timed(treated)
 			}
 		} else {
-			if tr, err = timed(rec); err == nil {
-				u, err = timed(nil)
+			if tr, err = timed(treated); err == nil {
+				b, err = timed(base)
 			}
 		}
 		if err != nil {
-			return 0, 0, 0, nil, err
+			return 0, 0, 0, err
 		}
-		if untraced < 0 || u < untraced {
-			untraced = u
+		if bestBase < 0 || b < bestBase {
+			bestBase = b
 		}
-		if traced < 0 || tr < traced {
-			traced = tr
-			bestRec = rec.Snapshot()
+		if bestTreated < 0 || tr < bestTreated {
+			bestTreated = tr
 		}
-		ratios = append(ratios, float64(tr)/float64(u))
+		ratios = append(ratios, float64(tr)/float64(b))
 	}
-	sort.Float64s(ratios)
-	median := ratios[len(ratios)/2]
-	if len(ratios)%2 == 0 {
-		median = (median + ratios[len(ratios)/2-1]) / 2
+	return bestBase, bestTreated, 100 * (median(ratios) - 1), nil
+}
+
+// median returns the median of xs, which it sorts.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	m := xs[len(xs)/2]
+	if len(xs)%2 == 0 {
+		m = (m + xs[len(xs)/2-1]) / 2
 	}
-	return untraced, traced, 100 * (median - 1), bestRec, nil
+	return m
+}
+
+// tracePair measures the flight recorder's cost as reps (untraced,
+// traced) pairs of the workload (pairedOverhead), also returning the
+// recording of the fastest traced repetition.
+func tracePair(reps, numCompute, numStaging, perRank, dumps int) (untraced, traced time.Duration, overheadPct float64, bestRec *trace.Recording, err error) {
+	fastest := time.Duration(-1)
+	untraced, traced, overheadPct, err = pairedOverhead(reps,
+		func() (time.Duration, error) {
+			return traceWorkload(numCompute, numStaging, perRank, dumps, nil, nil)
+		},
+		func() (time.Duration, error) {
+			// Right-size the rings for this workload (~200 events): the
+			// default 16×8192 rings hold 7 MB live, enough to shift GC
+			// pacing in an allocation-heavy pipeline and drown the
+			// recording cost we are measuring. Capacity stays ~40× the
+			// event count, so nothing drops.
+			rec := trace.New(trace.Config{
+				NumCompute: numCompute, NumStaging: numStaging, Dumps: dumps,
+				Shards: 4, ShardCapacity: 2048,
+			})
+			d, err := traceWorkload(numCompute, numStaging, perRank, dumps, rec, nil)
+			if err == nil && (fastest < 0 || d < fastest) {
+				fastest, bestRec = d, rec.Snapshot()
+			}
+			return d, err
+		})
+	return untraced, traced, overheadPct, bestRec, err
 }
 
 // traceRow condenses one verified leg into its JSON form.

@@ -1,41 +1,32 @@
 package flowctl
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"sync"
+
+	"predata/internal/frame"
 )
 
-// Spill segments are the overflow queue's on-disk form: when a burst
-// exceeds the memory budget, packed chunks are appended to a temp segment
-// and replayed — in arrival order, before the dump's Reduce phase — once
-// the engine drains. The format is BP-flavored: a magic header, then
-// length-prefixed records each carrying its writer rank, timestep, and a
-// CRC so a torn write is detected at replay rather than silently decoded.
-//
-//	header: "PDSPILL1"
-//	record: writer int64 | timestep int64 | length uint32 | crc32 uint32 | payload
-const segmentMagic = "PDSPILL1"
+// Spill segments are the overflow queue's on-disk form (DESIGN.md §8):
+// an internal/frame stream of packed chunks, each under a writer i64 |
+// timestep i64 header, replayed in arrival order before Reduce.
+const (
+	segmentMagic  = "PDSPILL2"
+	segmentHeader = 8 + 8
+)
 
 // ErrSegmentCorrupt marks a segment whose header or record framing failed
 // verification at replay.
 var ErrSegmentCorrupt = errors.New("flowctl: spill segment corrupt")
 
-// SegmentWriter appends chunk records to one spill segment file. Safe for
-// concurrent Append from several pull workers.
+// SegmentWriter appends chunk records to one spill segment file. Safe
+// for concurrent use.
 type SegmentWriter struct {
-	mu     sync.Mutex
-	f      *os.File
-	w      *bufio.Writer
-	path   string
-	chunks int64
-	bytes  int64
-	closed bool
+	fw   *frame.Writer
+	path string
 }
 
 // CreateSegment creates a fresh spill segment in dir ("" means the OS
@@ -45,13 +36,7 @@ func CreateSegment(dir, pattern string) (*SegmentWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flowctl: create spill segment: %w", err)
 	}
-	w := bufio.NewWriter(f)
-	if _, err := w.WriteString(segmentMagic); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return nil, fmt.Errorf("flowctl: write segment header: %w", err)
-	}
-	return &SegmentWriter{f: f, w: w, path: f.Name()}, nil
+	return &SegmentWriter{fw: frame.NewWriter(f, segmentMagic, segmentHeader), path: f.Name()}, nil
 }
 
 // Path returns the segment file's location.
@@ -59,56 +44,32 @@ func (s *SegmentWriter) Path() string { return s.path }
 
 // Chunks returns the number of records appended.
 func (s *SegmentWriter) Chunks() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.chunks
+	n, _, _ := s.fw.Stats()
+	return n
 }
 
 // Bytes returns the total payload bytes appended.
 func (s *SegmentWriter) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
+	_, b, _ := s.fw.Stats()
+	return b
 }
 
 // Append writes one chunk record.
 func (s *SegmentWriter) Append(writer int, timestep int64, payload []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("flowctl: append to closed spill segment %s", s.path)
-	}
-	var hdr [24]byte
+	var hdr [segmentHeader]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(writer))
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(timestep))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[20:], crc32.ChecksumIEEE(payload))
-	if _, err := s.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("flowctl: spill append: %w", err)
+	if _, err := s.fw.Append(hdr[:], payload, 0); err != nil {
+		return fmt.Errorf("flowctl: spill append to %s: %w", s.path, err)
 	}
-	if _, err := s.w.Write(payload); err != nil {
-		return fmt.Errorf("flowctl: spill append: %w", err)
-	}
-	s.chunks++
-	s.bytes += int64(len(payload))
 	return nil
 }
 
 // Close flushes and closes the segment file, leaving it on disk for
 // replay. Close is idempotent.
 func (s *SegmentWriter) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if err := s.w.Flush(); err != nil {
-		s.f.Close()
-		return fmt.Errorf("flowctl: flush spill segment: %w", err)
-	}
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("flowctl: close spill segment: %w", err)
+	if err := s.fw.Close(); err != nil {
+		return fmt.Errorf("flowctl: close spill segment %s: %w", s.path, err)
 	}
 	return nil
 }
@@ -122,41 +83,21 @@ func (s *SegmentWriter) Remove() error {
 	return err
 }
 
-// ReplaySegment reads a segment back in append order, invoking fn for
-// each record. The payload slice is owned by fn (a fresh buffer per
-// record). Replay stops at the first fn error or corrupt record.
+// ReplaySegment invokes fn for each record in append order; fn owns the
+// payload. It stops at fn's first error or at damage — a closed segment
+// has no legitimate torn tail, so that is ErrSegmentCorrupt.
 func ReplaySegment(path string, fn func(writer int, timestep int64, payload []byte) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("flowctl: open spill segment: %w", err)
+	_, torn, err := frame.Scan(path, segmentMagic, segmentHeader, nil, func(r frame.Record) error {
+		return fn(int(int64(binary.LittleEndian.Uint64(r.Header))),
+			int64(binary.LittleEndian.Uint64(r.Header[8:])), bytes.Clone(r.Payload))
+	})
+	switch {
+	case errors.Is(err, frame.ErrCorrupt):
+		return fmt.Errorf("flowctl: %s: %v: %w", path, err, ErrSegmentCorrupt)
+	case err != nil:
+		return fmt.Errorf("flowctl: replay spill segment %s: %w", path, err)
+	case torn:
+		return fmt.Errorf("flowctl: %s: torn or damaged record: %w", path, ErrSegmentCorrupt)
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	magic := make([]byte, len(segmentMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != segmentMagic {
-		return fmt.Errorf("flowctl: %s: bad segment header: %w", path, ErrSegmentCorrupt)
-	}
-	for {
-		var hdr [24]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("flowctl: %s: torn record header: %w", path, ErrSegmentCorrupt)
-		}
-		writer := int(int64(binary.LittleEndian.Uint64(hdr[0:])))
-		timestep := int64(binary.LittleEndian.Uint64(hdr[8:]))
-		length := binary.LittleEndian.Uint32(hdr[16:])
-		sum := binary.LittleEndian.Uint32(hdr[20:])
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return fmt.Errorf("flowctl: %s: torn record payload: %w", path, ErrSegmentCorrupt)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return fmt.Errorf("flowctl: %s: record checksum mismatch: %w", path, ErrSegmentCorrupt)
-		}
-		if err := fn(writer, timestep, payload); err != nil {
-			return err
-		}
-	}
+	return nil
 }

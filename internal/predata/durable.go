@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"sync"
 	"time"
@@ -60,23 +59,23 @@ func (s *Server) journalRequest(req FetchRequest) error {
 	if err != nil {
 		return err
 	}
-	return s.journal(wal.KindRequest, req, blob)
+	return s.journal(wal.KindRequest, req, blob, 0)
 }
 
-// journalChunk appends one pulled chunk's packed bytes. No-op without a
-// journal.
-func (s *Server) journalChunk(req FetchRequest, buf []byte) error {
+// journalChunk appends one pulled chunk's packed bytes, reusing the
+// payload CRC Unseal verified. No-op without a journal.
+func (s *Server) journalChunk(req FetchRequest, buf []byte, payloadCRC uint32) error {
 	if s.cfg.Journal == nil {
 		return nil
 	}
-	return s.journal(wal.KindChunk, req, buf)
+	return s.journal(wal.KindChunk, req, buf, payloadCRC)
 }
 
-// journal appends one record and stamps PhaseJournal with the payload
-// CRC the journal framed it under — the checksum trace.Verify matches
-// against the corresponding PhaseWalReplay after a restart.
-func (s *Server) journal(kind wal.Kind, req FetchRequest, payload []byte) error {
-	crc, err := s.cfg.Journal.Append(wal.Record{Kind: kind, Writer: req.WriterRank, Timestep: req.Timestep, Payload: payload})
+// journal appends one record and stamps PhaseJournal with its frame CRC
+// — the checksum trace.Verify matches against the corresponding
+// PhaseWalReplay after a restart.
+func (s *Server) journal(kind wal.Kind, req FetchRequest, payload []byte, payloadCRC uint32) error {
+	crc, err := s.cfg.Journal.Append(wal.Record{Kind: kind, Writer: req.WriterRank, Timestep: req.Timestep, Payload: payload}, payloadCRC)
 	if err != nil {
 		return fmt.Errorf("predata: journaling rank %d's dump %d record: %w", req.WriterRank, req.Timestep, err)
 	}
@@ -238,7 +237,7 @@ func (s *Server) IngestDump(timestep int64) (*DumpStats, error) {
 	defer cancel()
 	var mu sync.Mutex
 	for _, req := range reqs {
-		buf, d, err := s.pullWithRetry(ctx, req, stats, &mu)
+		buf, crc, d, err := s.pullWithRetry(ctx, req, stats, &mu)
 		if err != nil {
 			if errors.Is(err, faults.ErrEndpointDown) {
 				stats.Drops++
@@ -256,7 +255,7 @@ func (s *Server) IngestDump(timestep int64) (*DumpStats, error) {
 		}
 		stats.BytesPulled += int64(len(buf))
 		stats.PullModeled += d
-		if err := s.journalChunk(req, buf); err != nil {
+		if err := s.journalChunk(req, buf, crc); err != nil {
 			return stats, err
 		}
 	}
@@ -296,9 +295,9 @@ func (st *DumpStats) absorbIngest(ist *DumpStats, r *staging.Result) {
 // fabric pull happens, the sources released their regions to the crashed
 // incarnation long ago. All staging ranks must call ReplayDump
 // collectively with the same timestep after reconfiguring onto the same
-// epoch. Each replayed chunk stamps PhaseWalReplay with the payload CRC
-// so trace.Verify can match it against the crashed incarnation's
-// PhaseJournal append.
+// epoch. Each replayed chunk stamps PhaseWalReplay with the frame CRC
+// recovery read, so trace.Verify can match it against the crashed
+// incarnation's PhaseJournal append.
 func (s *Server) ReplayDump(timestep int64, ops []staging.Operator) (*staging.Result, *DumpStats, error) {
 	stats := &DumpStats{RecoveryWall: s.recovery}
 	s.recovery = 0
@@ -400,7 +399,7 @@ func (s *Server) ReplayDump(timestep int64, ops []staging.Operator) (*staging.Re
 	go func() {
 		for _, rec := range recs {
 			s.cfg.Tracer.Instant(trace.PhaseWalReplay, s.cfg.Endpoint.ID(), -1,
-				rec.Timestep, int64(rec.Writer), int64(crc32.ChecksumIEEE(rec.Payload)))
+				rec.Timestep, int64(rec.Writer), int64(rec.CRC))
 			err := decode.Submit(&evpath.Event{
 				Attrs: map[string]int64{"writer": int64(rec.Writer), "timestep": rec.Timestep},
 				Data:  rec.Payload,

@@ -737,7 +737,7 @@ func (s *Server) ServeDump(timestep int64, ops []staging.Operator) (*staging.Res
 					}
 					adm = a
 				}
-				buf, d, err := s.pullWithRetry(ctx, req, stats, &pullMu)
+				buf, crc, d, err := s.pullWithRetry(ctx, req, stats, &pullMu)
 				if err != nil {
 					if adm != nil {
 						adm.Abort()
@@ -776,7 +776,7 @@ func (s *Server) ServeDump(timestep int64, ops []staging.Operator) (*staging.Res
 				// Durability point: the chunk's bytes hit the journal before
 				// the stone graph sees them, so a crash anywhere downstream
 				// can replay instead of re-pulling a long-released region.
-				if jerr := s.journalChunk(req, buf); jerr != nil {
+				if jerr := s.journalChunk(req, buf, crc); jerr != nil {
 					if adm != nil {
 						adm.Abort()
 					}
@@ -939,25 +939,25 @@ func (s *Server) recvRequest(deadline time.Time, stats *DumpStats) (FetchRequest
 
 // pullWithRetry pulls one chunk end-to-end verified: the transfer uses
 // the non-consuming PullRetain, the delivered frame's CRC is checked
-// before anything downstream sees the bytes, and the source region is
-// acknowledged (released) only after verification. Injected transients
-// *and* corrupted deliveries are retried with capped exponential
-// backoff within the attempt budget — wire corruption heals on re-pull
-// because the source still holds the intact region. A source that stays
-// corrupt exhausts the budget and surfaces staging.ErrCorrupt for the
-// caller's shed path. ctx bounds each pull's deferred-phase wait
-// (background ctx preserves the fault-free contract of blocking until
-// the watchdog intervenes).
-func (s *Server) pullWithRetry(ctx context.Context, req FetchRequest, stats *DumpStats, mu *sync.Mutex) ([]byte, time.Duration, error) {
+// (and returned for the journal) before anything downstream sees the
+// bytes, and the source region is acknowledged (released) only after
+// verification. Injected transients *and* corrupted deliveries are
+// retried with capped exponential backoff within the attempt budget —
+// wire corruption heals on re-pull because the source still holds the
+// intact region. A source that stays corrupt exhausts the budget and
+// surfaces staging.ErrCorrupt for the caller's shed path. ctx bounds
+// each pull's deferred-phase wait (background ctx preserves the
+// fault-free contract of blocking until the watchdog intervenes).
+func (s *Server) pullWithRetry(ctx context.Context, req FetchRequest, stats *DumpStats, mu *sync.Mutex) ([]byte, uint32, time.Duration, error) {
 	for attempt := 0; ; attempt++ {
 		buf, d, err := s.hedgedPull(ctx, req, stats, mu)
 		if err == nil {
-			payload, perr := staging.Unseal(buf)
+			payload, crc, perr := staging.Unseal(buf)
 			if perr == nil {
 				if aerr := s.cfg.Endpoint.Ack(req.Handle); aerr != nil {
-					return nil, 0, aerr
+					return nil, 0, 0, aerr
 				}
-				return payload, d, nil
+				return payload, crc, d, nil
 			}
 			mu.Lock()
 			stats.CorruptPulls++
@@ -966,7 +966,7 @@ func (s *Server) pullWithRetry(ctx context.Context, req FetchRequest, stats *Dum
 				req.Handle.Endpoint, req.Timestep, int64(req.WriterRank), int64(attempt))
 			err = fmt.Errorf("predata: chunk from rank %d attempt %d: %w", req.WriterRank, attempt, perr)
 		} else if !errors.Is(err, faults.ErrTransient) {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		if attempt+1 >= s.retry.MaxAttempts {
 			if errors.Is(err, staging.ErrCorrupt) {
@@ -976,7 +976,7 @@ func (s *Server) pullWithRetry(ctx context.Context, req FetchRequest, stats *Dum
 				// the chunk.
 				_ = s.cfg.Endpoint.Ack(req.Handle)
 			}
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		mu.Lock()
 		stats.Retries++

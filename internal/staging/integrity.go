@@ -1,75 +1,44 @@
 package staging
 
-// End-to-end chunk integrity. A chunk is sealed where it is encoded —
-// on the compute client, before the bytes touch the fabric — and
-// unsealed where it is consumed, on the staging server right after the
-// pull and before anything downstream (evpath stones, the engine's
-// Reduce) sees it. The frame travels through fabric.Pull and any
-// intermediate hops untouched, so a CRC mismatch at unseal time proves
-// the wire (or the source's memory) damaged the payload somewhere along
-// the whole path, not just on the last hop.
-//
-// Frame layout, little-endian:
+// End-to-end chunk integrity (DESIGN.md §13): a chunk is sealed on
+// the compute client before the bytes touch the fabric and unsealed on
+// the staging server right after the pull, so a CRC mismatch proves
+// damage anywhere along the whole path. A sealed chunk is one
+// internal/frame single frame with an empty header:
 //
 //	magic "PDCHNK1\n" | payload length u32 | crc32(IEEE) of payload u32 | payload
-//
-// The same magic-then-checksum shape as the spill record format
-// (flowctl PDSPILL1) and the trace archive (PDTRACE1).
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+
+	"predata/internal/frame"
 )
 
 // ErrCorrupt marks a sealed chunk whose frame or checksum failed
-// verification. Classify with errors.Is: the transfer completed but the
-// bytes are damaged, so the caller should re-pull (wire corruption
-// heals) and, when the source stays bad, shed the chunk rather than
-// reduce it.
+// verification: the caller should re-pull (wire corruption heals) and,
+// when the source stays bad, shed the chunk rather than reduce it.
 var ErrCorrupt = errors.New("chunk corrupt")
 
 const sealMagic = "PDCHNK1\n"
 
-// sealOverhead is the framing cost Seal adds: magic, length, checksum.
-const sealOverhead = len(sealMagic) + 8
-
 // Seal frames payload with a magic header, its length, and a CRC so the
 // receiver can verify the delivery end-to-end. The input is not
 // retained or mutated.
-func Seal(payload []byte) []byte {
-	out := make([]byte, sealOverhead+len(payload))
-	n := copy(out, sealMagic)
-	binary.LittleEndian.PutUint32(out[n:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[n+4:], crc32.ChecksumIEEE(payload))
-	copy(out[sealOverhead:], payload)
-	return out
-}
+func Seal(payload []byte) []byte { return frame.Seal(sealMagic, nil, payload) }
 
 // Sealed reports whether buf starts with a seal frame header.
 func Sealed(buf []byte) bool {
-	return len(buf) >= sealOverhead && string(buf[:len(sealMagic)]) == sealMagic
+	return len(buf) >= len(sealMagic)+frame.Overhead && string(buf[:len(sealMagic)]) == sealMagic
 }
 
-// Unseal verifies a sealed frame and returns the payload (aliasing
-// buf's memory, no copy). A missing magic, a length mismatch, or a
-// checksum mismatch returns an error wrapping ErrCorrupt.
-func Unseal(buf []byte) ([]byte, error) {
-	if len(buf) < sealOverhead {
-		return nil, fmt.Errorf("staging: sealed chunk truncated at %d bytes: %w", len(buf), ErrCorrupt)
+// Unseal verifies a sealed frame and returns the payload (aliasing buf)
+// with its verified CRC-32, which a journal append reuses. Any damage
+// returns an error wrapping ErrCorrupt.
+func Unseal(buf []byte) ([]byte, uint32, error) {
+	_, payload, crc, err := frame.Open(sealMagic, 0, buf)
+	if err != nil {
+		return nil, 0, fmt.Errorf("staging: sealed chunk %v: %w", err, ErrCorrupt)
 	}
-	if string(buf[:len(sealMagic)]) != sealMagic {
-		return nil, fmt.Errorf("staging: sealed chunk magic damaged: %w", ErrCorrupt)
-	}
-	n := binary.LittleEndian.Uint32(buf[len(sealMagic):])
-	want := binary.LittleEndian.Uint32(buf[len(sealMagic)+4:])
-	payload := buf[sealOverhead:]
-	if int(n) != len(payload) {
-		return nil, fmt.Errorf("staging: sealed chunk length %d, frame says %d: %w", len(payload), n, ErrCorrupt)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("staging: chunk checksum %08x, frame says %08x: %w", got, want, ErrCorrupt)
-	}
-	return payload, nil
+	return payload, crc, nil
 }

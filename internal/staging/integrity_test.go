@@ -2,7 +2,9 @@ package staging
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 )
 
@@ -16,7 +18,7 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 		if !Sealed(sealed) {
 			t.Fatal("sealed frame not recognized")
 		}
-		got, err := Unseal(sealed)
+		got, _, err := Unseal(sealed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,15 +38,15 @@ func TestUnsealDetectsEveryByteFlip(t *testing.T) {
 		bad := make([]byte, len(sealed))
 		copy(bad, sealed)
 		bad[i] ^= 0xFF
-		if _, err := Unseal(bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := Unseal(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flip at byte %d: got %v, want ErrCorrupt", i, err)
 		}
 	}
 	// Truncation is corruption too.
-	if _, err := Unseal(sealed[:len(sealed)-1]); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := Unseal(sealed[:len(sealed)-1]); !errors.Is(err, ErrCorrupt) {
 		t.Error("truncated payload accepted")
 	}
-	if _, err := Unseal(sealed[:4]); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := Unseal(sealed[:4]); !errors.Is(err, ErrCorrupt) {
 		t.Error("truncated header accepted")
 	}
 }
@@ -53,7 +55,24 @@ func TestSealDoesNotAliasInput(t *testing.T) {
 	payload := []byte("mutate me after sealing")
 	sealed := Seal(payload)
 	payload[0] ^= 0xFF
-	if _, err := Unseal(sealed); err != nil {
+	if _, _, err := Unseal(sealed); err != nil {
 		t.Fatalf("mutating the input after Seal broke the frame: %v", err)
+	}
+}
+
+// TestSealLayoutIsStable pins the PDCHNK1 bytes: magic, payload
+// length, CRC-32 of the payload, payload. Sealed chunks cross process
+// boundaries, so the layout must not drift with the framing code.
+func TestSealLayoutIsStable(t *testing.T) {
+	payload := []byte("particle chunk bytes")
+	want := []byte("PDCHNK1\n")
+	want = binary.LittleEndian.AppendUint32(want, uint32(len(payload)))
+	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(payload))
+	want = append(want, payload...)
+	if got := Seal(payload); !bytes.Equal(got, want) {
+		t.Fatalf("Seal = %x, want %x", got, want)
+	}
+	if _, crc, err := Unseal(want); err != nil || crc != crc32.ChecksumIEEE(payload) {
+		t.Fatalf("Unseal CRC %08x, err %v", crc, err)
 	}
 }

@@ -443,7 +443,7 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 	// FFS frame here; accepting a still-sealed chunk (verifying it in
 	// passing) keeps direct callers honest without a second API.
 	if Sealed(buf) {
-		payload, err := Unseal(buf)
+		payload, _, err := Unseal(buf)
 		if err != nil {
 			return nil, err
 		}

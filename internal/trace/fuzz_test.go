@@ -87,7 +87,7 @@ func FuzzTraceReaderCorrupt(f *testing.F) {
 	good := buf.Bytes()
 	f.Add(good)
 	f.Add([]byte{})
-	f.Add([]byte("PDTRACE1"))
+	f.Add([]byte("PDTRACE2"))
 	for _, i := range []int{0, 8, 12, 20, len(good) / 2, len(good) - 2} {
 		mut := append([]byte(nil), good...)
 		mut[i] ^= 0x40

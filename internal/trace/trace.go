@@ -4,7 +4,7 @@
 // (collective calls, retries, injected faults, spill/shed decisions,
 // lease movements). Recordings export to Chrome trace_event JSON for
 // timeline inspection and to a compact CRC-checked binary format
-// (PDTRACE1) for archiving and trace-driven conformance tests; Verify
+// (PDTRACE2) for archiving and trace-driven conformance tests; Verify
 // checks runtime ordering invariants from a recording alone.
 //
 // The recorder follows the flowctl budget philosophy: memory is bounded
@@ -84,11 +84,11 @@ const (
 	PhaseHeal          // predata: fenced rank rejoined the serving set (Seq = epoch installed)
 	PhaseHedge         // predata: hedged pull launched (Endpoint = source, Seq = writer)
 	PhaseHedgeCancel   // predata: hedge race resolved, losing attempt cancelled (Endpoint = source, Seq = writer, Arg = 1 hedge won)
-	PhaseJournal       // wal: record appended to the staging journal (Seq = writer, Arg = payload crc32)
+	PhaseJournal       // wal: record appended to the staging journal (Seq = writer, Arg = frame crc32)
 	PhaseWalCommit     // wal: dump commit record fsynced (Dump = committed dump)
 	PhaseCheckpoint    // wal: dump-boundary checkpoint written (Seq = first dump NOT covered)
 	PhaseWalTruncate   // wal: journal truncated behind a checkpoint (Seq = first dump kept, Arg = records kept)
-	PhaseWalReplay     // predata: journaled chunk re-entered the pipeline after a restart (Seq = writer, Arg = payload crc32)
+	PhaseWalReplay     // predata: journaled chunk re-entered the pipeline after a restart (Seq = writer, Arg = frame crc32)
 	PhaseRestart       // pipeline: rank rejoined after a restart or crashall recovery (Seq = epoch installed, Arg = records replayed)
 
 	PhaseServeIngest     // serve: dump version ingested for a tenant (Rank = tenant, Endpoint = tenant, Seq = object hash, Arg = version)

@@ -682,7 +682,7 @@ func verifyHedgeResolution(rec *Recording, rep *VerifyReport) {
 
 // verifyWalReplayFidelity applies to recordings that contain a journal
 // replay: every chunk recovery re-enters into the pipeline
-// (PhaseWalReplay, Arg = payload crc32) must match a journal append
+// (PhaseWalReplay, Arg = frame crc32) must match a journal append
 // (PhaseJournal) for the same (dump, writer) with the same checksum.
 // A replay without a matching append means recovery fabricated bytes;
 // a checksum mismatch means the journal round trip mutated them.

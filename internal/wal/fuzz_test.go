@@ -156,7 +156,8 @@ func FuzzWALTruncatedTail(f *testing.F) {
 // FuzzWALBitFlip flips one byte anywhere in a valid journal: recovery
 // must never error or panic — the damage either lands in the tail
 // (prefix shortens, Torn) or in the magic (ErrCorrupt, the one loud
-// case) — and the surviving prefix must still satisfy commit dedup.
+// case) — and the surviving prefix must still satisfy commit dedup and
+// hold only records that were appended.
 func FuzzWALBitFlip(f *testing.F) {
 	f.Add(uint(0), byte(0xff))
 	f.Add(uint(8), byte(0x01))
@@ -181,9 +182,14 @@ func FuzzWALBitFlip(f *testing.F) {
 			}
 			t.Fatalf("bit flip at %d: %v", off, err)
 		}
+		appended := fuzzAppended()
 		for _, r := range append(append([]Record(nil), st.Chunks...), st.Requests...) {
 			if st.CommittedDump(r.Timestep) {
 				t.Fatalf("bit flip at %d: record for committed dump %d survived", off, r.Timestep)
+			}
+			if !appended[recordKey(r)] {
+				t.Fatalf("bit flip at %d: recovered %v (writer %d, dump %d, %q), never appended",
+					off, r.Kind, r.Writer, r.Timestep, r.Payload)
 			}
 		}
 	})

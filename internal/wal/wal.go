@@ -1,67 +1,40 @@
-// Package wal is the staging area's durability layer: a CRC-framed
-// write-ahead journal (PDWAL1) plus compact dump-boundary checkpoints
-// (PDCKPT1), so a staging rank survives a process crash or a whole-
-// service restart without losing in-flight dumps.
-//
-// The framing follows the PDSPILL1 discipline from internal/flowctl —
-// little-endian fixed header, CRC32-IEEE over the payload — extended
-// with a kind byte, because the journal records three things: chunks
-// as they arrive (the pulled, CRC-verified packed bytes — staging
-// memory is the only other copy, the writer's region having been
-// acknowledged at pull time), fetch requests as they are consumed from
-// the fabric mailbox (the pending-map state a restart would otherwise
-// forget), and dump-boundary commit markers. A commit record is the
-// durability point: it is flushed and fsynced, and on recovery every
-// chunk/request of a committed dump is deduplicated away, which is
-// what makes replay exactly-once across a restart.
-//
-// Unlike a spill segment, a torn journal tail is *normal*: the process
-// died mid-append. Recovery keeps the longest valid prefix and reports
-// Torn instead of failing, so replay after a crash at any byte offset
-// yields a prefix-consistent state (property-tested). Only a damaged
-// magic — the file is not a journal at all — is an error.
-//
-// Checkpoints compact the journal: WriteCheckpoint durably writes the
-// checkpoint (tmp + rename + sync) FIRST and only then rewrites the
-// journal keeping the records the checkpoint does not cover. A crash
-// between the two steps leaves covered records in the journal; recovery
-// drops them against the checkpoint's NextDump, so the ordering — never
-// truncate state that is not yet checkpointed — is what trace.Verify's
-// checkpoint→truncate rule pins down.
+// Package wal is the staging area's durability layer (DESIGN.md §14):
+// a write-ahead journal (PDWAL2) of pulled chunks, fetch requests and
+// fsynced per-dump commits, plus dump-boundary checkpoints (PDCKPT2).
+// Recovery dedupes committed dumps, so replay is exactly-once, and
+// treats a torn journal tail as normal: it keeps the valid prefix.
 package wal
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sync"
+	"sync/atomic"
 	"time"
+
+	"predata/internal/frame"
 )
 
 const (
-	journalMagic    = "PDWAL1\n\x00"
-	checkpointMagic = "PDCKPT1\n"
+	journalMagic    = "PDWAL2\n\x00"
+	checkpointMagic = "PDCKPT2\n"
 	journalName     = "journal.wal"
 	checkpointName  = "checkpoint.ckpt"
-
-	// header: kind uint8 | writer int64 | timestep int64 | length uint32 | crc32 uint32
-	headerSize = 1 + 8 + 8 + 4 + 4
-
-	// maxRecord guards recovery against a corrupt length field: no real
-	// record approaches 64 MB, so anything larger is treated as a torn
-	// tail instead of a gigantic allocation.
-	maxRecord = 64 << 20
+	// recordHeader is a journal frame's header: kind u8 | writer i64 |
+	// timestep i64. headerSize adds the frame's length and CRC.
+	recordHeader     = 1 + 8 + 8
+	headerSize       = recordHeader + frame.Overhead
+	checkpointHeader = 8 + 8    // epoch i64 | next dump i64
+	maxRecord        = 64 << 20 // no real chunk approaches 64 MB
 )
 
 // ErrCorrupt marks a file that is not a journal or checkpoint at all
-// (bad magic). Torn or bit-flipped record tails are NOT errors — they
-// truncate recovery to the valid prefix.
-var ErrCorrupt = errors.New("wal: corrupt")
+// (bad magic), or a damaged checkpoint. Torn or bit-flipped journal
+// tails are NOT errors — they truncate recovery to the valid prefix.
+var ErrCorrupt = frame.ErrCorrupt
 
 // Kind classifies a journal record.
 type Kind uint8
@@ -74,8 +47,7 @@ const (
 	// serialized by the caller (the pending-map state).
 	KindRequest Kind = 2
 	// KindCommit marks a dump fully reduced; it carries no payload and
-	// is fsynced. Recovery dedupes everything belonging to a committed
-	// dump.
+	// is fsynced.
 	KindCommit Kind = 3
 )
 
@@ -85,106 +57,62 @@ type Record struct {
 	Writer   int
 	Timestep int64
 	Payload  []byte
+	CRC      uint32 // the frame CRC, as Append returned and Recover read it
 }
 
 // Log is an append-only journal handle. All methods are safe for
 // concurrent use; Close is idempotent.
 type Log struct {
-	mu      sync.Mutex
-	dir     string
-	path    string
-	f       *os.File
-	w       *bufio.Writer
-	records int64
-	bytes   int64
-	wall    time.Duration
-	closed  bool
+	dir      string
+	path     string
+	fw       *frame.Writer
+	ckptWall atomic.Int64 // checkpoint file writes, in nanoseconds
 }
 
-// Open creates or re-opens the journal in dir (created if missing).
-// An existing journal is truncated to its valid prefix first — a torn
-// tail from a previous crash must not precede fresh appends, or the
-// scanner would stop at the tear and lose them.
+// Open creates or re-opens the journal in dir (created if missing),
+// cutting an existing journal to its valid prefix (frame.OpenStream).
 func Open(dir string) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", dir, err)
 	}
 	path := filepath.Join(dir, journalName)
-	_, validLen, _, scanErr := scanJournal(path, func(Record) {})
-	fresh := false
-	switch {
-	case errors.Is(scanErr, os.ErrNotExist):
-		fresh = true
-	case scanErr != nil:
-		return nil, scanErr
-	case validLen < int64(len(journalMagic)):
-		// The crash hit before the magic landed: start the file over.
-		fresh = true
-		if err := os.Truncate(path, 0); err != nil {
-			return nil, fmt.Errorf("wal: reset truncated journal %s: %w", path, err)
-		}
-	default:
-		if err := os.Truncate(path, validLen); err != nil {
-			return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	fw, err := frame.OpenStream(path, journalMagic, recordHeader)
 	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
+		return nil, journalErr(path, err)
 	}
-	if fresh {
-		if _, err := f.Write([]byte(journalMagic)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: write magic: %w", err)
-		}
-	}
-	return &Log{dir: dir, path: path, f: f, w: bufio.NewWriter(f)}, nil
+	return &Log{dir: dir, path: path, fw: fw}, nil
 }
 
 // Dir returns the directory the journal lives in.
 func (l *Log) Dir() string { return l.dir }
 
-// Append journals one record and returns the payload CRC32 its frame
-// header carries, so callers that log the checksum need not hash the
-// payload a second time.
-func (l *Log) Append(rec Record) (uint32, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	start := time.Now()
-	if l.closed {
-		return 0, fmt.Errorf("wal: append to closed journal %s", l.path)
-	}
+// Append journals one record and returns its frame CRC. payloadCRC is
+// the payload's CRC-32 when the caller has already verified it
+// (staging.Unseal returns it), or 0 to have the journal compute it.
+func (l *Log) Append(rec Record, payloadCRC uint32) (uint32, error) {
 	if len(rec.Payload) > maxRecord {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte frame cap", len(rec.Payload), maxRecord)
 	}
-	crc := crc32.ChecksumIEEE(rec.Payload)
-	var hdr [headerSize]byte
+	var hdr [recordHeader]byte
 	hdr[0] = byte(rec.Kind)
-	binary.LittleEndian.PutUint64(hdr[1:9], uint64(rec.Writer))
-	binary.LittleEndian.PutUint64(hdr[9:17], uint64(rec.Timestep))
-	binary.LittleEndian.PutUint32(hdr[17:21], uint32(len(rec.Payload)))
-	binary.LittleEndian.PutUint32(hdr[21:25], crc)
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
+	binary.LittleEndian.PutUint64(hdr[1:], uint64(rec.Writer))
+	binary.LittleEndian.PutUint64(hdr[9:], uint64(rec.Timestep))
+	crc, err := l.fw.Append(hdr[:], rec.Payload, payloadCRC)
+	if err != nil {
+		return 0, journalErr(l.path, err)
 	}
-	if _, err := l.w.Write(rec.Payload); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	l.records++
-	l.bytes += int64(headerSize + len(rec.Payload))
-	l.wall += time.Since(start)
 	return crc, nil
 }
 
 // AppendChunk journals one pulled chunk's packed bytes.
 func (l *Log) AppendChunk(writer int, timestep int64, payload []byte) error {
-	_, err := l.Append(Record{Kind: KindChunk, Writer: writer, Timestep: timestep, Payload: payload})
+	_, err := l.Append(Record{Kind: KindChunk, Writer: writer, Timestep: timestep, Payload: payload}, 0)
 	return err
 }
 
 // AppendRequest journals one consumed fetch request (caller-serialized).
 func (l *Log) AppendRequest(writer int, timestep int64, blob []byte) error {
-	_, err := l.Append(Record{Kind: KindRequest, Writer: writer, Timestep: timestep, Payload: blob})
+	_, err := l.Append(Record{Kind: KindRequest, Writer: writer, Timestep: timestep, Payload: blob}, 0)
 	return err
 }
 
@@ -192,72 +120,35 @@ func (l *Log) AppendRequest(writer int, timestep int64, blob []byte) error {
 // journal durable through it (flush + fsync) — the point after which a
 // restart must not re-reduce the dump.
 func (l *Log) AppendCommit(timestep int64) error {
-	if _, err := l.Append(Record{Kind: KindCommit, Writer: -1, Timestep: timestep}); err != nil {
+	if _, err := l.Append(Record{Kind: KindCommit, Writer: -1, Timestep: timestep}, 0); err != nil {
 		return err
 	}
 	return l.Sync()
 }
 
 // Sync flushes buffered appends and fsyncs the journal.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	start := time.Now()
-	if l.closed {
-		return fmt.Errorf("wal: sync of closed journal %s", l.path)
-	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
-	}
-	l.wall += time.Since(start)
-	return nil
-}
+func (l *Log) Sync() error { return journalErr(l.path, l.fw.Sync()) }
 
 // Close flushes and closes the journal. Idempotent.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	ferr := l.w.Flush()
-	cerr := l.f.Close()
-	if ferr != nil {
-		return fmt.Errorf("wal: close: %w", ferr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("wal: close: %w", cerr)
-	}
-	return nil
-}
+func (l *Log) Close() error { return journalErr(l.path, l.fw.Close()) }
 
 // Records returns the number of records appended through this handle.
 func (l *Log) Records() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.records
+	n, _, _ := l.fw.Stats()
+	return n
 }
 
 // Bytes returns the framed bytes appended through this handle.
 func (l *Log) Bytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytes
+	n, payload, _ := l.fw.Stats()
+	return payload + n*headerSize
 }
 
-// Wall returns the cumulative wall time spent appending, syncing and
-// checkpointing — the journal-overhead figure the restart experiment
-// reports. The clock runs under the handle mutex, so it measures the
-// framing, CRC and device work itself, not callers queueing on the
-// handle (concurrent pull workers overlap that wait with real work).
+// Wall returns the time spent appending, syncing and checkpointing —
+// the journal overhead figure; see frame.Writer.Stats.
 func (l *Log) Wall() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.wall
+	_, _, busy := l.fw.Stats()
+	return busy + time.Duration(l.ckptWall.Load())
 }
 
 // Checkpoint is the compact dump-boundary state: every dump below
@@ -271,238 +162,61 @@ type Checkpoint struct {
 }
 
 // WriteCheckpoint durably writes the checkpoint, then truncates the
-// journal down to the records the checkpoint does not cover (those
-// with Timestep >= NextDump), returning how many records survived the
-// truncation. The ordering is load-bearing: the checkpoint hits disk
-// (tmp + rename + fsync) before a single journal byte is dropped, so a
-// crash between the steps only leaves covered records behind — which
-// recovery dedupes — never a hole.
+// journal to the records it does not cover (Timestep >= NextDump) and
+// returns how many survived. A crash between the steps leaves covered
+// records (recovery drops them), never a hole.
 func (l *Log) WriteCheckpoint(c Checkpoint) (kept int, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	var hdr [checkpointHeader]byte
+	binary.LittleEndian.PutUint64(hdr[0:], uint64(c.Epoch))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(c.NextDump))
+	if err := l.fw.Sync(); err != nil { // refuses a closed journal before anything is written
+		return 0, journalErr(l.path, err)
+	}
 	start := time.Now()
-	if l.closed {
-		return 0, fmt.Errorf("wal: checkpoint on closed journal %s", l.path)
+	err = frame.WriteFile(filepath.Join(l.dir, checkpointName), checkpointMagic, hdr[:], c.Shard)
+	l.ckptWall.Add(int64(time.Since(start)))
+	if err == nil {
+		kept, err = l.fw.Compact(func(h []byte) bool { return timestep(h) < c.NextDump })
 	}
-	if err := l.w.Flush(); err != nil {
-		return 0, fmt.Errorf("wal: checkpoint flush: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return 0, fmt.Errorf("wal: checkpoint fsync: %w", err)
-	}
-
-	// Step 1: the checkpoint itself, atomically.
-	tmp := filepath.Join(l.dir, checkpointName+".tmp")
-	cf, err := os.Create(tmp)
-	if err != nil {
-		return 0, fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint64(hdr[1:9], uint64(c.Epoch))
-	binary.LittleEndian.PutUint64(hdr[9:17], uint64(c.NextDump))
-	binary.LittleEndian.PutUint32(hdr[17:21], uint32(len(c.Shard)))
-	binary.LittleEndian.PutUint32(hdr[21:25], crc32.ChecksumIEEE(c.Shard))
-	werr := func() error {
-		if _, err := cf.Write([]byte(checkpointMagic)); err != nil {
-			return err
-		}
-		if _, err := cf.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := cf.Write(c.Shard); err != nil {
-			return err
-		}
-		return cf.Sync()
-	}()
-	cerr := cf.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("wal: checkpoint write: %w", errors.Join(werr, cerr))
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, checkpointName)); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("wal: checkpoint rename: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		return 0, err
-	}
-
-	// Step 2: journal truncation — rewrite keeping only the records the
-	// checkpoint does not cover, then swap atomically.
-	var keep []Record
-	if _, _, _, err := scanJournal(l.path, func(rec Record) {
-		if rec.Timestep >= c.NextDump {
-			keep = append(keep, rec)
-		}
-	}); err != nil {
-		return 0, err
-	}
-	jtmp := filepath.Join(l.dir, journalName+".tmp")
-	if err := writeJournal(jtmp, keep); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(jtmp, l.path); err != nil {
-		os.Remove(jtmp)
-		return 0, fmt.Errorf("wal: journal truncate rename: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		return 0, err
-	}
-	// Reattach the append handle to the rewritten file.
-	if err := l.f.Close(); err != nil {
-		return 0, fmt.Errorf("wal: journal truncate: %w", err)
-	}
-	nf, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("wal: journal truncate reopen: %w", err)
-	}
-	l.f = nf
-	l.w = bufio.NewWriter(nf)
-	l.wall += time.Since(start)
-	return len(keep), nil
+	return kept, journalErr(l.path, err)
 }
 
-// writeJournal writes a fresh journal file holding recs, fsynced.
-func writeJournal(path string, recs []Record) error {
-	f, err := os.Create(path)
+// journalErr names the journal in a non-nil err.
+func journalErr(path string, err error) error {
 	if err != nil {
-		return fmt.Errorf("wal: rewrite journal: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	werr := func() error {
-		if _, err := w.Write([]byte(journalMagic)); err != nil {
-			return err
-		}
-		var hdr [headerSize]byte
-		for _, rec := range recs {
-			hdr[0] = byte(rec.Kind)
-			binary.LittleEndian.PutUint64(hdr[1:9], uint64(rec.Writer))
-			binary.LittleEndian.PutUint64(hdr[9:17], uint64(rec.Timestep))
-			binary.LittleEndian.PutUint32(hdr[17:21], uint32(len(rec.Payload)))
-			binary.LittleEndian.PutUint32(hdr[21:25], crc32.ChecksumIEEE(rec.Payload))
-			if _, err := w.Write(hdr[:]); err != nil {
-				return err
-			}
-			if _, err := w.Write(rec.Payload); err != nil {
-				return err
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		return f.Sync()
-	}()
-	cerr := f.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(path)
-		return fmt.Errorf("wal: rewrite journal: %w", errors.Join(werr, cerr))
+		return fmt.Errorf("wal: %s: %w", path, err)
 	}
 	return nil
 }
 
-// syncDir fsyncs a directory so a rename inside it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: sync dir %s: %w", dir, err)
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil || cerr != nil {
-		return fmt.Errorf("wal: sync dir %s: %w", dir, errors.Join(serr, cerr))
-	}
-	return nil
-}
+func timestep(hdr []byte) int64 { return int64(binary.LittleEndian.Uint64(hdr[9:])) }
 
-// scanJournal reads the journal's valid prefix, calling fn for each
-// well-formed, CRC-verified record. It returns the record count, the
-// byte length of the valid prefix, and whether trailing bytes were
-// discarded (torn tail — normal after a crash). A missing file returns
-// os.ErrNotExist; a damaged magic returns ErrCorrupt. An entirely
-// empty or magic-truncated file counts as an empty journal with a torn
-// tail, not corruption: the crash hit before the magic landed.
-func scanJournal(path string, fn func(Record)) (records int64, validLen int64, torn bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	magic := make([]byte, len(journalMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return 0, 0, true, nil
-	}
-	if string(magic) != journalMagic {
-		return 0, 0, false, fmt.Errorf("wal: %s has bad magic %q: %w", path, magic, ErrCorrupt)
-	}
-	validLen = int64(len(journalMagic))
-	var hdr [headerSize]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			// EOF exactly at a record boundary is a clean tail; anything
-			// shorter is torn.
-			torn = !errors.Is(err, io.EOF)
-			return records, validLen, torn, nil
-		}
-		kind := Kind(hdr[0])
-		if kind != KindChunk && kind != KindRequest && kind != KindCommit {
-			return records, validLen, true, nil
-		}
-		length := binary.LittleEndian.Uint32(hdr[17:21])
-		if length > maxRecord {
-			return records, validLen, true, nil
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return records, validLen, true, nil
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[21:25]) {
-			return records, validLen, true, nil
-		}
-		fn(Record{
-			Kind:     kind,
-			Writer:   int(int64(binary.LittleEndian.Uint64(hdr[1:9]))),
-			Timestep: int64(binary.LittleEndian.Uint64(hdr[9:17])),
-			Payload:  payload,
-		})
-		records++
-		validLen += int64(headerSize) + int64(length)
-	}
-}
-
-// readCheckpoint loads the checkpoint file. A missing file reports
-// ok=false; a torn or CRC-damaged checkpoint is ErrCorrupt — unlike
-// the journal it is written atomically, so damage means the file is
-// not trustworthy at all.
-func readCheckpoint(dir string) (Checkpoint, bool, error) {
+// readCheckpoint loads the checkpoint file, if there is one, into st.
+// Any damage is ErrCorrupt: the file is written atomically, so unlike a
+// torn journal tail it cannot be a crash artifact.
+func readCheckpoint(dir string, st *State) error {
 	b, err := os.ReadFile(filepath.Join(dir, checkpointName))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return Checkpoint{}, false, nil
-		}
-		return Checkpoint{}, false, fmt.Errorf("wal: read checkpoint: %w", err)
+		return fmt.Errorf("wal: read checkpoint: %w", err)
 	}
-	if len(b) < len(checkpointMagic)+headerSize || string(b[:len(checkpointMagic)]) != checkpointMagic {
-		return Checkpoint{}, false, fmt.Errorf("wal: checkpoint in %s damaged: %w", dir, ErrCorrupt)
+	hdr, shard, _, err := frame.Open(checkpointMagic, checkpointHeader, b)
+	if err != nil {
+		return fmt.Errorf("wal: checkpoint in %s: %w", dir, err)
 	}
-	hdr := b[len(checkpointMagic) : len(checkpointMagic)+headerSize]
-	shard := b[len(checkpointMagic)+headerSize:]
-	length := binary.LittleEndian.Uint32(hdr[17:21])
-	if int(length) != len(shard) || crc32.ChecksumIEEE(shard) != binary.LittleEndian.Uint32(hdr[21:25]) {
-		return Checkpoint{}, false, fmt.Errorf("wal: checkpoint in %s damaged: %w", dir, ErrCorrupt)
-	}
-	return Checkpoint{
-		Epoch:    int64(binary.LittleEndian.Uint64(hdr[1:9])),
-		NextDump: int64(binary.LittleEndian.Uint64(hdr[9:17])),
-		Shard:    shard,
-	}, true, nil
+	st.HaveCheckpoint = true
+	st.Checkpoint.Epoch = int64(binary.LittleEndian.Uint64(hdr))
+	st.Checkpoint.NextDump = int64(binary.LittleEndian.Uint64(hdr[8:]))
+	st.Checkpoint.Shard = shard
+	st.LastCommitted = st.Checkpoint.NextDump - 1
+	return nil
 }
 
-// State is what recovery hands the restarted server: the checkpoint
-// (if any), the set of explicitly committed dumps in the journal tail,
-// and the uncommitted chunk/request records in append order —
-// everything needed to rebuild pending state and replay the in-flight
-// dump without re-reducing a committed one.
+// State is what recovery hands the restarted server: everything needed
+// to rebuild pending state and replay the in-flight dump without
+// re-reducing a committed one.
 type State struct {
 	HaveCheckpoint bool
 	Checkpoint     Checkpoint
@@ -536,51 +250,51 @@ func (st *State) CommittedDump(ts int64) bool {
 func (st *State) NextDump() int64 { return st.LastCommitted + 1 }
 
 // Recover replays the checkpoint plus the journal's valid prefix from
-// dir. A missing directory or journal is an empty state, not an error:
-// a rank restarting with no durable history simply starts from dump 0.
+// dir. A missing directory or journal is an empty state (dump 0).
 func Recover(dir string) (*State, error) {
 	st := &State{Committed: make(map[int64]bool), LastCommitted: -1}
-	ck, ok, err := readCheckpoint(dir)
-	if err != nil {
+	if err := readCheckpoint(dir, st); err != nil {
 		return nil, err
 	}
-	if ok {
-		st.HaveCheckpoint = true
-		st.Checkpoint = ck
-		st.LastCommitted = ck.NextDump - 1
-	}
-	records, _, torn, err := func() (int64, int64, bool, error) {
-		return scanJournal(filepath.Join(dir, journalName), func(rec Record) {
-			if st.HaveCheckpoint && rec.Timestep < st.Checkpoint.NextDump {
-				return // covered by the checkpoint: a pre-truncation leftover
-			}
-			switch rec.Kind {
-			case KindCommit:
-				st.Committed[rec.Timestep] = true
-				if rec.Timestep > st.LastCommitted {
-					st.LastCommitted = rec.Timestep
-				}
-				// Dedup: drop everything already collected for the dump.
-				st.Chunks = dropTimestep(st.Chunks, rec.Timestep)
-				st.Requests = dropTimestep(st.Requests, rec.Timestep)
-			case KindChunk:
-				if !st.Committed[rec.Timestep] {
-					st.Chunks = append(st.Chunks, rec)
-				}
-			case KindRequest:
-				if !st.Committed[rec.Timestep] {
-					st.Requests = append(st.Requests, rec)
-				}
-			}
-		})
-	}()
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return st, nil
+	path := filepath.Join(dir, journalName)
+	_, torn, err := frame.Scan(path, journalMagic, recordHeader, nil, func(fr frame.Record) error {
+		rec := Record{
+			Kind:     Kind(fr.Header[0]),
+			Writer:   int(int64(binary.LittleEndian.Uint64(fr.Header[1:]))),
+			Timestep: timestep(fr.Header),
+			Payload:  bytes.Clone(fr.Payload),
+			CRC:      fr.CRC,
 		}
-		return nil, err
+		st.Records++
+		if st.HaveCheckpoint && rec.Timestep < st.Checkpoint.NextDump {
+			return nil // covered by the checkpoint: a pre-truncation leftover
+		}
+		switch rec.Kind {
+		case KindCommit:
+			st.Committed[rec.Timestep] = true
+			if rec.Timestep > st.LastCommitted {
+				st.LastCommitted = rec.Timestep
+			}
+			// Dedup: drop everything already collected for the dump.
+			st.Chunks = dropTimestep(st.Chunks, rec.Timestep)
+			st.Requests = dropTimestep(st.Requests, rec.Timestep)
+		case KindChunk:
+			if !st.Committed[rec.Timestep] {
+				st.Chunks = append(st.Chunks, rec)
+			}
+		case KindRequest:
+			if !st.Committed[rec.Timestep] {
+				st.Requests = append(st.Requests, rec)
+			}
+		}
+		return nil
+	})
+	if errors.Is(err, os.ErrNotExist) {
+		return st, nil
 	}
-	st.Records = records
+	if err != nil {
+		return nil, journalErr(path, err)
+	}
 	st.Torn = torn
 	return st, nil
 }

@@ -373,3 +373,98 @@ func replayableRecords(whole []byte, off int) int {
 		n++
 	}
 }
+
+// TestHeaderBitFlipsNeverForgeState flips every bit of every journal
+// record's header (kind, writer, timestep, length, CRC) and of the
+// checkpoint's header: recovery may shorten the journal or reject the
+// checkpoint, but must never surface a record or checkpoint that was
+// not written — a flipped timestep must not re-file a committed dump's
+// chunk under an uncommitted dump.
+func TestHeaderBitFlipsNeverForgeState(t *testing.T) {
+	t.Run("journal", testJournalHeaderFlips)
+	t.Run("checkpoint", testCheckpointHeaderFlips)
+}
+
+func testJournalHeaderFlips(t *testing.T) {
+	dir := t.TempDir()
+	whole := fuzzJournal(t, dir)
+	appended := fuzzAppended()
+	crash := t.TempDir()
+	for pos := len(journalMagic); pos < len(whole); {
+		length := int(uint32(whole[pos+17]) | uint32(whole[pos+18])<<8 | uint32(whole[pos+19])<<16 | uint32(whole[pos+20])<<24)
+		for i := pos; i < pos+headerSize; i++ {
+			for bit := 0; bit < 8; bit++ {
+				bad := append([]byte(nil), whole...)
+				bad[i] ^= 1 << bit
+				if err := os.WriteFile(filepath.Join(crash, journalName), bad, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				st, err := Recover(crash)
+				if err != nil {
+					t.Fatalf("flip of byte %d bit %d: %v", i, bit, err)
+				}
+				for _, r := range append(append([]Record(nil), st.Chunks...), st.Requests...) {
+					if !appended[recordKey(r)] {
+						t.Fatalf("flip of byte %d bit %d: recovered %v (writer %d, dump %d, %q), never appended",
+							i, bit, r.Kind, r.Writer, r.Timestep, r.Payload)
+					}
+				}
+			}
+		}
+		pos += headerSize + length
+	}
+}
+
+// testCheckpointHeaderFlips flips every bit between the checkpoint's
+// magic and its shard.
+func testCheckpointHeaderFlips(t *testing.T) {
+	ckdir := t.TempDir()
+	l := mustOpen(t, ckdir)
+	shard := []byte("shard")
+	if _, err := l.WriteCheckpoint(Checkpoint{Epoch: 3, NextDump: 2, Shard: shard}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(ckdir, checkpointName)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(checkpointMagic); i < len(good)-len(shard); i++ {
+		for bit := 0; bit < 8; bit++ {
+			bad := append([]byte(nil), good...)
+			bad[i] ^= 1 << bit
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := Recover(ckdir)
+			if err == nil && (st.Checkpoint.Epoch != 3 || st.Checkpoint.NextDump != 2 || !bytes.Equal(st.Checkpoint.Shard, shard)) {
+				t.Fatalf("flip of checkpoint byte %d bit %d: recovered %+v", i, bit, st.Checkpoint)
+			}
+		}
+	}
+}
+
+type appendedKey struct {
+	kind     Kind
+	writer   int
+	timestep int64
+	payload  string
+}
+
+func recordKey(r Record) appendedKey {
+	return appendedKey{r.Kind, r.Writer, r.Timestep, string(r.Payload)}
+}
+
+// fuzzAppended is the set of chunk and request records fuzzJournal
+// appends.
+func fuzzAppended() map[appendedKey]bool {
+	set := map[appendedKey]bool{}
+	for ts := int64(0); ts < 2; ts++ {
+		set[appendedKey{KindRequest, 1, ts, "request-blob"}] = true
+		set[appendedKey{KindChunk, 1, ts, "chunk-payload-bytes"}] = true
+	}
+	return set
+}
