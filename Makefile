@@ -61,7 +61,7 @@ perfbench-test:
 trace-test:
 	$(GO) test -race -shuffle=on ./internal/trace/ -run . -count=1
 	$(GO) test -race -shuffle=on -run 'TraceConformance|Prop' ./internal/predata/ ./internal/ops/
-	$(GO) run ./cmd/predata-bench -experiment trace -json BENCH_trace.json
+	$(GO) run ./cmd/predata-bench -experiment trace
 
 # elastic-soak runs the elasticity suite: autoscaler + xray driver
 # units, the resize/handoff/conservation tests (raced, shuffled —
@@ -71,7 +71,7 @@ trace-test:
 elastic-soak:
 	$(GO) test -race -shuffle=on -count=1 ./internal/elastic/ ./internal/apps/xray/
 	$(GO) test -race -shuffle=on -count=1 -run 'Elastic|Reconfigure|Split|Resize' ./internal/predata/ ./internal/mpi/ ./internal/dataspaces/
-	$(GO) run ./cmd/predata-bench -experiment elastic -json BENCH_elastic.json
+	$(GO) run ./cmd/predata-bench -experiment elastic
 
 # adversary-soak runs the adversarial-wire suite: chunk integrity under
 # wire and source corruption, quorum fencing and heal across staging
@@ -80,7 +80,7 @@ elastic-soak:
 # it across fault seeds 1/7/42.
 adversary-soak:
 	$(GO) test -race -shuffle=on -count=1 -run 'Adversary|Corrupt|Partition|Hedg|Dup|Quorum|Fence|Heal|Seal|Integrity' ./internal/faults/ ./internal/fabric/ ./internal/predata/ ./internal/staging/ ./internal/trace/
-	$(GO) run ./cmd/predata-bench -experiment adversary -json BENCH_adversary.json
+	$(GO) run ./cmd/predata-bench -experiment adversary
 
 # restart-soak runs the durability suite: WAL framing/recovery units
 # and fuzz seeds, journal-backed restart, whole-service crashall replay
@@ -90,7 +90,7 @@ adversary-soak:
 restart-soak:
 	$(GO) test -race -shuffle=on -count=1 ./internal/wal/
 	$(GO) test -race -shuffle=on -count=1 -run 'Restart|CrashAll|Checkpoint|Journal|Wal|WAL|Revive|Drain|DupState' ./internal/faults/ ./internal/fabric/ ./internal/predata/ ./internal/trace/ ./internal/dataspaces/
-	$(GO) run ./cmd/predata-bench -experiment restart -json BENCH_restart.json
+	$(GO) run ./cmd/predata-bench -experiment restart
 
 # serve-soak runs the multi-tenant streaming-service suite: the serve
 # daemon units plus the query/tenant conformance scenarios (steady
@@ -101,7 +101,7 @@ restart-soak:
 serve-soak:
 	$(GO) test -race -shuffle=on -count=2 ./internal/serve/
 	$(GO) test -race -shuffle=on -count=1 -run 'FairShare|Starv|Subscribe|VerifyServe|Tenant' ./internal/flowctl/ ./internal/dataspaces/ ./internal/trace/ ./internal/queryapp/ ./cmd/predata-serve/
-	$(GO) run ./cmd/predata-bench -experiment serve -json BENCH_serve.json
+	$(GO) run ./cmd/predata-bench -experiment serve
 
 evaluation:
 	$(GO) run ./cmd/predata-bench -experiment all

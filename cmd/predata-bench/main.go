@@ -4,19 +4,15 @@
 // Usage:
 //
 //	predata-bench -experiment fig7 [-op sort|hist|hist2d|all]
-//	predata-bench -experiment fig8|fig9|fig10|fig11
-//	predata-bench -experiment chaos
-//	predata-bench -experiment overload [-json BENCH_overload.json]
-//	predata-bench -experiment trace [-json BENCH_trace.json]
-//	predata-bench -experiment elastic [-json BENCH_elastic.json]
-//	predata-bench -experiment adversary [-json BENCH_adversary.json]
-//	predata-bench -experiment restart [-json BENCH_restart.json]
-//	predata-bench -experiment serve [-json BENCH_serve.json]
-//	predata-bench -experiment ablations
+//	predata-bench -experiment fig8|fig9|fig10|fig11|offline|des|chaos|ablations
+//	predata-bench -experiment overload|trace|elastic|adversary|restart|serve [-json path]
 //	predata-bench -experiment all
 //
 // Model rows reproduce the paper's scales (512-16,384 cores); functional
-// mini-runs exercise the real pipeline at laptop scale.
+// mini-runs exercise the real pipeline at laptop scale. Run alone,
+// overload, trace, elastic, adversary, restart and serve write their
+// summary to BENCH_<name>.json unless -json names another path (""
+// disables); all writes no JSON.
 package main
 
 import (
@@ -24,116 +20,118 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"predata/internal/bench"
 )
 
-func main() {
-	experiment := flag.String("experiment", "all",
-		"which experiment to regenerate: fig7|fig8|fig9|fig10|fig11|offline|des|chaos|overload|trace|elastic|adversary|restart|serve|ablations|all")
-	op := flag.String("op", "all", "fig7 operator: sort|hist|hist2d|all")
-	jsonPath := flag.String("json", "BENCH_overload.json",
-		"overload/trace/elastic/adversary/restart/serve experiments: write the summary as JSON to this path (empty disables; trace, elastic, adversary, restart and serve default to BENCH_trace.json / BENCH_elastic.json / BENCH_adversary.json / BENCH_restart.json / BENCH_serve.json)")
-	flag.Parse()
-
-	// The flag default carries the overload experiment's filename; the
-	// trace experiment gets its own unless -json was set explicitly.
-	jsonSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "json" {
-			jsonSet = true
-		}
-	})
-	if *experiment == "trace" && !jsonSet {
-		*jsonPath = "BENCH_trace.json"
-	}
-	if *experiment == "elastic" && !jsonSet {
-		*jsonPath = "BENCH_elastic.json"
-	}
-	if *experiment == "adversary" && !jsonSet {
-		*jsonPath = "BENCH_adversary.json"
-	}
-	if *experiment == "restart" && !jsonSet {
-		*jsonPath = "BENCH_restart.json"
-	}
-	if *experiment == "serve" && !jsonSet {
-		*jsonPath = "BENCH_serve.json"
-	}
-
-	if err := run(os.Stdout, *experiment, *op, *jsonPath); err != nil {
-		fmt.Fprintln(os.Stderr, "predata-bench:", err)
-		os.Exit(1)
-	}
+// experiment is one entry of the -experiment table. An entry that
+// writes a JSON summary defaults it to BENCH_<name>.json.
+type experiment struct {
+	name string
+	json bool
+	run  func(w io.Writer, op, jsonPath string) error
 }
 
-func run(w io.Writer, experiment, op, jsonPath string) error {
-	ablations := func() error {
-		if err := bench.AblationScheduling(w); err != nil {
-			return err
-		}
-		if err := bench.AblationCombine(w); err != nil {
-			return err
-		}
-		if err := bench.AblationRatio(w); err != nil {
-			return err
-		}
-		if err := bench.AblationFunctionalScaling(w); err != nil {
-			return err
-		}
-		return bench.AblationBitmap(w)
-	}
-	switch experiment {
-	case "fig7":
-		return bench.Fig7(w, op)
-	case "fig8":
-		return bench.Fig8(w)
-	case "fig9":
-		return bench.Fig9(w)
-	case "fig10":
-		return bench.Fig10(w)
-	case "fig11":
-		return bench.Fig11(w)
-	case "offline":
-		return bench.Offline(w)
-	case "des":
-		return bench.DESCrossCheck(w)
-	case "chaos":
-		return bench.Chaos(w)
-	case "overload":
-		return bench.Overload(w, jsonPath)
-	case "trace":
-		return bench.Trace(w, jsonPath)
-	case "elastic":
-		return bench.Elastic(w, jsonPath)
-	case "adversary":
-		return bench.Adversary(w, jsonPath)
-	case "restart":
-		return bench.Restart(w, jsonPath)
-	case "serve":
-		return bench.Serve(w, jsonPath)
-	case "ablations":
-		return ablations()
-	case "all":
+// figure adapts a table or figure that takes only the output stream.
+func figure(f func(io.Writer) error) func(io.Writer, string, string) error {
+	return func(w io.Writer, _, _ string) error { return f(w) }
+}
+
+// summary adapts an experiment that writes a JSON summary.
+func summary(f func(io.Writer, string) error) func(io.Writer, string, string) error {
+	return func(w io.Writer, _, jsonPath string) error { return f(w, jsonPath) }
+}
+
+// experiments lists every experiment in the order -experiment all runs them.
+var experiments = []experiment{
+	{"fig7", false, func(w io.Writer, op, _ string) error { return bench.Fig7(w, op) }},
+	{"fig8", false, figure(bench.Fig8)},
+	{"fig9", false, figure(bench.Fig9)},
+	{"fig10", false, figure(bench.Fig10)},
+	{"fig11", false, figure(bench.Fig11)},
+	{"offline", false, figure(bench.Offline)},
+	{"des", false, figure(bench.DESCrossCheck)},
+	{"chaos", false, figure(bench.Chaos)},
+	{"overload", true, summary(bench.Overload)},
+	{"trace", true, summary(bench.Trace)},
+	{"elastic", true, summary(bench.Elastic)},
+	{"adversary", true, summary(bench.Adversary)},
+	{"restart", true, summary(bench.Restart)},
+	{"serve", true, summary(bench.Serve)},
+	{"ablations", false, figure(func(w io.Writer) error {
 		for _, f := range []func(io.Writer) error{
-			func(w io.Writer) error { return bench.Fig7(w, op) },
-			bench.Fig8, bench.Fig9, bench.Fig10, bench.Fig11, bench.Offline,
-			bench.DESCrossCheck, bench.Chaos,
-			func(w io.Writer) error { return bench.Overload(w, jsonPath) },
-			// trace, elastic and adversary write no JSON under "all" so
-			// they cannot clobber the overload trajectory sharing the
-			// -json flag.
-			func(w io.Writer) error { return bench.Trace(w, "") },
-			func(w io.Writer) error { return bench.Elastic(w, "") },
-			func(w io.Writer) error { return bench.Adversary(w, "") },
-			func(w io.Writer) error { return bench.Restart(w, "") },
-			func(w io.Writer) error { return bench.Serve(w, "") },
+			bench.AblationScheduling, bench.AblationCombine, bench.AblationRatio,
+			bench.AblationFunctionalScaling, bench.AblationBitmap,
 		} {
 			if err := f(w); err != nil {
 				return err
 			}
 		}
-		return ablations()
-	default:
-		return fmt.Errorf("unknown experiment %q", experiment)
+		return nil
+	})},
+}
+
+func lookup(name string) (experiment, bool) {
+	for _, e := range experiments {
+		if e.name == name {
+			return e, true
+		}
 	}
+	return experiment{}, false
+}
+
+func names() string {
+	var ns []string
+	for _, e := range experiments {
+		ns = append(ns, e.name)
+	}
+	return strings.Join(append(ns, "all"), "|")
+}
+
+// defaultJSON is the -json default: each experiment's own file.
+const defaultJSON = "BENCH_<name>.json"
+
+// jsonPath resolves where an experiment writes its JSON summary from
+// the -json value; always "" for an experiment that writes none, and
+// for all.
+func jsonPath(name, flagValue string) string {
+	if e, ok := lookup(name); !ok || !e.json {
+		return ""
+	}
+	if flagValue == defaultJSON {
+		return "BENCH_" + name + ".json"
+	}
+	return flagValue
+}
+
+func main() {
+	name := flag.String("experiment", "all", "which experiment to regenerate: "+names())
+	op := flag.String("op", "all", "fig7 operator: sort|hist|hist2d|all")
+	jsonFlag := flag.String("json", defaultJSON,
+		"where an experiment that writes a JSON summary writes it (empty disables)")
+	flag.Parse()
+
+	if err := run(os.Stdout, *name, *op, jsonPath(*name, *jsonFlag)); err != nil {
+		fmt.Fprintln(os.Stderr, "predata-bench:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes one experiment, or every one in table order for all —
+// which writes no JSON, and stops at the first failing experiment.
+func run(w io.Writer, name, op, jsonPath string) error {
+	if name == "all" {
+		for _, e := range experiments {
+			if err := e.run(w, op, ""); err != nil {
+				return fmt.Errorf("%s: %w", e.name, err)
+			}
+		}
+		return nil
+	}
+	e, ok := lookup(name)
+	if !ok {
+		return fmt.Errorf("unknown experiment %q (want %s)", name, names())
+	}
+	return e.run(w, op, jsonPath)
 }

@@ -64,3 +64,22 @@ func TestRunBadFig7Op(t *testing.T) {
 		t.Fatal("unknown fig7 operator accepted")
 	}
 }
+
+func TestJSONPath(t *testing.T) {
+	cases := []struct {
+		experiment, flag, want string
+	}{
+		{"trace", defaultJSON, "BENCH_trace.json"},
+		{"serve", defaultJSON, "BENCH_serve.json"},
+		{"all", defaultJSON, ""},
+		{"fig8", defaultJSON, ""},
+		{"trace", "out.json", "out.json"},
+		{"trace", "", ""},
+		{"fig8", "out.json", ""},
+	}
+	for _, c := range cases {
+		if got := jsonPath(c.experiment, c.flag); got != c.want {
+			t.Errorf("jsonPath(%q, %q) = %q, want %q", c.experiment, c.flag, got, c.want)
+		}
+	}
+}

@@ -1,17 +1,11 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"predata/internal/fabric"
-	"predata/internal/faults"
-	"predata/internal/ffs"
-	"predata/internal/mpi"
-	"predata/internal/ops"
 	"predata/internal/predata"
 	"predata/internal/staging"
 )
@@ -67,6 +61,7 @@ type AdversaryRun struct {
 
 // AdversarySummary is the JSON document the adversary experiment emits.
 type AdversarySummary struct {
+	hosted
 	Seed    int64          `json:"seed"`
 	Writers int            `json:"writers"`
 	Staging int            `json:"staging"`
@@ -74,66 +69,12 @@ type AdversarySummary struct {
 	Runs    []AdversaryRun `json:"runs"`
 }
 
-// advBenchRun executes one leg: the GTC-style workload under a fault
-// plan (empty spec for fault-free) over an optionally paced fabric.
-func advBenchRun(spec string, seed int64, fcfg *fabric.Config) (*predata.PipelineResult, time.Duration, error) {
-	cfg := predata.PipelineConfig{
-		NumCompute:       advCompute,
-		NumStaging:       advStaging,
-		Dumps:            advDumps,
-		PartialCalculate: ops.MinMaxPartial("p", []int{ColZeta, ColRadial, ColRank}),
-		Aggregate:        ops.MinMaxAggregate(),
-		Engine:           staging.Config{Workers: 2},
-		PullConcurrency:  2,
-		Timeout:          2 * time.Minute,
-	}
-	if fcfg != nil {
-		cfg.Fabric = *fcfg
-		// The straggler leg triggers at the model estimate itself: the
-		// heavy log-normal noise puts roughly half of all pulls past it,
-		// so hedges fire reliably instead of only on the distribution tail.
-		cfg.Retry = predata.RetryPolicy{HedgeFactor: 1}
-	}
-	if spec != "" {
-		plan, err := faults.ParsePlan(spec, seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		cfg.FaultPlan = &plan
-	}
-	opsFor := func(dump int) []staging.Operator {
-		h, err := ops.NewHistogramOperator(ops.HistogramConfig{
-			Var: "p", Columns: []int{ColZeta, ColRadial}, Bins: 64, AggRanges: true,
-		})
-		if err != nil {
-			return nil
-		}
-		return []staging.Operator{h}
-	}
-	start := time.Now()
-	res, err := predata.RunPipeline(cfg,
-		func(comm *mpi.Comm, client *predata.Client) error {
-			for step := 0; step < advDumps; step++ {
-				arr := GenParticles(comm.Rank(), advPerRank, int64(step))
-				if _, err := client.Write(ParticleSchema, ffs.Record{"p": arr}, int64(step)); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		opsFor)
-	return res, time.Since(start), err
-}
-
 // advBenchRow condenses one leg into its JSON form. Loss is measured
 // against the conservation figure: every particle bins exactly twice
 // (two histogrammed columns) per dump.
 func advBenchRow(name string, res *predata.PipelineResult, wall time.Duration) AdversaryRun {
 	want := int64(advCompute*advPerRank) * 2 * int64(advDumps)
-	var got int64
-	for d := 0; d < advDumps; d++ {
-		got += histTotal(res, d)
-	}
+	_, got := census(res, advDumps)
 	row := AdversaryRun{
 		Name:     name,
 		WallMS:   wall.Milliseconds(),
@@ -168,21 +109,23 @@ func advBenchRow(name string, res *predata.PipelineResult, wall time.Duration) A
 // declares its degradation. When jsonPath is non-empty the legs are
 // also written there as JSON.
 func Adversary(w io.Writer, jsonPath string) error {
-	seed := chaosSeed()
+	seed, err := faultSeed()
+	if err != nil {
+		return err
+	}
 	header(w, fmt.Sprintf("Adversary — wire corruption, partitions and stragglers (seed %d)", seed))
 
-	type leg struct {
-		name string
-		spec string
-		fcfg *fabric.Config
-	}
 	// The straggler leg paces the fabric against its bandwidth model and
 	// adds heavy log-normal transfer noise so slow pulls blow the model
 	// deadline and hedge.
 	noisy := fabric.DefaultConfig(advCompute + advStaging)
 	noisy.PaceScale = 50
 	noisy.VarSigma = 2.0
-	legs := []leg{
+	legs := []struct {
+		name string
+		spec string
+		fcfg *fabric.Config
+	}{
 		{"fault-free", "", nil},
 		{"wire corrupt p=0.15", "corrupt:*:0.15:pull", nil},
 		{"source corrupt w0", "corrupt:0:1:send", nil},
@@ -192,7 +135,21 @@ func Adversary(w io.Writer, jsonPath string) error {
 
 	rows := make([]AdversaryRun, 0, len(legs))
 	for _, l := range legs {
-		res, wall, err := advBenchRun(l.spec, seed, l.fcfg)
+		cfg := predata.PipelineConfig{
+			NumCompute:      advCompute,
+			NumStaging:      advStaging,
+			Dumps:           advDumps,
+			Engine:          staging.Config{Workers: 2},
+			PullConcurrency: 2,
+		}
+		if l.fcfg != nil {
+			cfg.Fabric = *l.fcfg
+			// The straggler leg triggers at the model estimate itself: the
+			// heavy log-normal noise puts roughly half of all pulls past it,
+			// so hedges fire reliably instead of only on the distribution tail.
+			cfg.Retry = predata.RetryPolicy{HedgeFactor: 1}
+		}
+		res, wall, err := runGTC(cfg, advPerRank, l.spec, seed, 0)
 		if err != nil {
 			return fmt.Errorf("bench: %s leg: %w", l.name, err)
 		}
@@ -208,54 +165,25 @@ func Adversary(w io.Writer, jsonPath string) error {
 	}
 
 	// The invariants the experiment exists to demonstrate.
+	var c checks
 	base, wire, source, part, straggler := rows[0], rows[1], rows[2], rows[3], rows[4]
-	if base.DataLoss != 0 || base.DegradedDumps != 0 {
-		return fmt.Errorf("bench: fault-free leg not clean: %+v", base)
-	}
-	if wire.Corruptions == 0 || wire.CorruptPulls == 0 {
-		return fmt.Errorf("bench: wire leg injected no corruption: %+v", wire)
-	}
-	if wire.DataLoss != 0 || wire.CorruptDrops != 0 || wire.DegradedDumps != 0 {
-		return fmt.Errorf("bench: wire corruption must heal losslessly via re-pull: %+v", wire)
-	}
+	c.check(base.DataLoss == 0 && base.DegradedDumps == 0, "fault-free leg not clean: %+v", base)
+	c.check(wire.Corruptions != 0 && wire.CorruptPulls != 0, "wire leg injected no corruption: %+v", wire)
+	c.check(wire.DataLoss == 0 && wire.CorruptDrops == 0 && wire.DegradedDumps == 0,
+		"wire corruption must heal losslessly via re-pull: %+v", wire)
 	// Persistent source corruption sheds writer 0's chunk every dump —
 	// loudly: the loss is exactly one writer's contribution, and every
 	// affected dump is marked Degraded.
-	if source.CorruptDrops != int64(advDumps) {
-		return fmt.Errorf("bench: source leg dropped %d chunks, want %d", source.CorruptDrops, advDumps)
-	}
-	if wantLoss := int64(advPerRank) * 2 * int64(advDumps); source.DataLoss != wantLoss {
-		return fmt.Errorf("bench: source leg lost %d values, want exactly %d (writer 0's share)",
-			source.DataLoss, wantLoss)
-	}
-	if source.DegradedDumps == 0 {
-		return fmt.Errorf("bench: source leg shed chunks without declaring degradation: %+v", source)
-	}
-	if part.Heals != 1 || part.FencedDumps == 0 {
-		return fmt.Errorf("bench: partition leg did not fence and heal: %+v", part)
-	}
-	if part.DataLoss != 0 {
-		return fmt.Errorf("bench: partition leg lost %d values across the fence window", part.DataLoss)
-	}
-	if straggler.HedgedPulls == 0 {
-		return fmt.Errorf("bench: straggler leg never hedged: %+v", straggler)
-	}
-	if straggler.DataLoss != 0 || straggler.DegradedDumps != 0 {
-		return fmt.Errorf("bench: straggler leg not lossless: %+v", straggler)
-	}
-
-	if jsonPath != "" {
-		doc, err := json.MarshalIndent(AdversarySummary{
-			Seed: seed, Writers: advCompute, Staging: advStaging, Dumps: advDumps, Runs: rows,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(doc, '\n'), 0o644); err != nil {
-			return fmt.Errorf("bench: write adversary json: %w", err)
-		}
-		fmt.Fprintf(w, "\nadversary legs written to %s\n", jsonPath)
-	}
-	fmt.Fprintf(w, "\ncorruption heals or sheds loudly, partitions fence and heal lossless, stragglers hedge — no silent loss anywhere\n")
-	return nil
+	c.check(source.CorruptDrops == int64(advDumps), "source leg dropped %d chunks, want %d", source.CorruptDrops, advDumps)
+	wantLoss := int64(advPerRank) * 2 * int64(advDumps)
+	c.check(source.DataLoss == wantLoss, "source leg lost %d values, want exactly %d (writer 0's share)",
+		source.DataLoss, wantLoss)
+	c.check(source.DegradedDumps != 0, "source leg shed chunks without declaring degradation: %+v", source)
+	c.check(part.Heals == 1 && part.FencedDumps != 0, "partition leg did not fence and heal: %+v", part)
+	c.check(part.DataLoss == 0, "partition leg lost %d values across the fence window", part.DataLoss)
+	c.check(straggler.HedgedPulls != 0, "straggler leg never hedged: %+v", straggler)
+	c.check(straggler.DataLoss == 0 && straggler.DegradedDumps == 0, "straggler leg not lossless: %+v", straggler)
+	return c.finish(w, jsonPath, &AdversarySummary{
+		Seed: seed, Writers: advCompute, Staging: advStaging, Dumps: advDumps, Runs: rows,
+	}, "corruption heals or sheds loudly, partitions fence and heal lossless, stragglers hedge — no silent loss anywhere")
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"predata/internal/ops"
@@ -158,12 +159,70 @@ func TestOverloadExperiment(t *testing.T) {
 	if len(sum.Runs) != 4 {
 		t.Fatalf("overload json has %d runs, want 4", len(sum.Runs))
 	}
+	if sum.Host.GoVersion == "" {
+		t.Errorf("overload json carries no host fingerprint: %+v", sum.Host)
+	}
 	spill := sum.Runs[1]
 	if spill.SpilledBytes == 0 || spill.PeakBytes == 0 {
 		t.Errorf("spill leg missing trajectory: %+v", spill)
 	}
 	if shed := sum.Runs[2]; len(shed.ShedOperators) == 0 {
 		t.Errorf("shed leg records no shed operators: %+v", shed)
+	}
+}
+
+// TestChecksFinishRecordsFailures shows the collector's contract: a
+// failing check still leaves a parseable JSON document on disk, and the
+// returned error names every failed check, not only the first.
+func TestChecksFinishRecordsFailures(t *testing.T) {
+	var c checks
+	c.check(false, "first invariant broke (%d)", 1)
+	c.check(true, "held invariant")
+	c.check(false, "second invariant broke (%s)", "x")
+	jsonPath := filepath.Join(t.TempDir(), "BENCH_x.json")
+	var out bytes.Buffer
+	err := c.finish(&out, jsonPath, &OverloadSummary{Seed: 7, Runs: []OverloadRun{{Name: "leg"}}}, "all held")
+	if err == nil {
+		t.Fatal("failed checks returned no error")
+	}
+	for _, want := range []string{"first invariant broke (1)", "second invariant broke (x)"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "held invariant") || strings.Contains(out.String(), "all held") {
+		t.Errorf("a held check or the verdict leaked into a failing run: %q / %q", err, out.String())
+	}
+	doc, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatalf("json not written when checks fail: %v", err)
+	}
+	var sum OverloadSummary
+	if err := json.Unmarshal(doc, &sum); err != nil {
+		t.Fatalf("json unparsable: %v", err)
+	}
+	if sum.Seed != 7 || len(sum.Runs) != 1 || sum.Runs[0].Name != "leg" {
+		t.Errorf("json lost the experiment's numbers: %+v", sum)
+	}
+}
+
+// TestBadFaultSeed checks that an unparsable PREDATA_FAULT_SEED fails
+// every seeded experiment instead of quietly running seed 1.
+func TestBadFaultSeed(t *testing.T) {
+	t.Setenv("PREDATA_FAULT_SEED", "x")
+	jsonPath := filepath.Join(t.TempDir(), "BENCH_x.json")
+	for name, run := range map[string]func(io.Writer) error{
+		"chaos":     Chaos,
+		"overload":  func(w io.Writer) error { return Overload(w, jsonPath) },
+		"trace":     func(w io.Writer) error { return Trace(w, jsonPath) },
+		"elastic":   func(w io.Writer) error { return Elastic(w, jsonPath) },
+		"adversary": func(w io.Writer) error { return Adversary(w, jsonPath) },
+		"restart":   func(w io.Writer) error { return Restart(w, jsonPath) },
+		"serve":     func(w io.Writer) error { return Serve(w, jsonPath) },
+	} {
+		if err := run(io.Discard); err == nil || !strings.Contains(err.Error(), "PREDATA_FAULT_SEED") {
+			t.Errorf("%s: bad fault seed gave %v, want a PREDATA_FAULT_SEED error", name, err)
+		}
 	}
 }
 

@@ -3,86 +3,11 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
-	"strconv"
 	"time"
 
-	"predata/internal/faults"
-	"predata/internal/ffs"
-	"predata/internal/mpi"
-	"predata/internal/ops"
 	"predata/internal/predata"
 	"predata/internal/staging"
 )
-
-// chaosSeed resolves the fault seed for the chaos experiment: the
-// PREDATA_FAULT_SEED environment variable when set (the CI chaos-soak
-// lane sweeps it), 1 otherwise.
-func chaosSeed() int64 {
-	if s := os.Getenv("PREDATA_FAULT_SEED"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return v
-		}
-	}
-	return 1
-}
-
-// chaosRun executes a multi-dump GTC-style pipeline under a fault plan
-// (nil for the fault-free baseline) and returns results plus wall time.
-func chaosRun(numCompute, numStaging, perRank, dumps int, plan *faults.Plan) (*predata.PipelineResult, time.Duration, error) {
-	cfg := predata.PipelineConfig{
-		NumCompute:       numCompute,
-		NumStaging:       numStaging,
-		Dumps:            dumps,
-		PartialCalculate: ops.MinMaxPartial("p", []int{ColZeta, ColRadial, ColRank}),
-		Aggregate:        ops.MinMaxAggregate(),
-		Engine:           staging.Config{Workers: 2},
-		PullConcurrency:  2,
-		FaultPlan:        plan,
-		Timeout:          2 * time.Minute,
-	}
-	opsFor := func(dump int) []staging.Operator {
-		h, err := ops.NewHistogramOperator(ops.HistogramConfig{
-			Var: "p", Columns: []int{ColZeta, ColRadial}, Bins: 64, AggRanges: true,
-		})
-		if err != nil {
-			return nil
-		}
-		return []staging.Operator{h}
-	}
-	start := time.Now()
-	res, err := predata.RunPipeline(cfg,
-		func(comm *mpi.Comm, client *predata.Client) error {
-			for step := 0; step < dumps; step++ {
-				arr := GenParticles(comm.Rank(), perRank, int64(step))
-				if _, err := client.Write(ParticleSchema, ffs.Record{"p": arr}, int64(step)); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		opsFor)
-	return res, time.Since(start), err
-}
-
-// histTotal sums every histogram bin a run produced, per dump — the
-// data-conservation invariant: each particle lands in exactly one bin
-// per histogrammed column.
-func histTotal(res *predata.PipelineResult, dump int) int64 {
-	var total int64
-	for _, perDump := range res.StagingResults {
-		if dump >= len(perDump) {
-			continue // crashed rank, post-crash dump
-		}
-		hists, _ := perDump[dump].PerOperator["histogram"]["histograms"].(map[int][]int64)
-		for _, bins := range hists {
-			for _, n := range bins {
-				total += n
-			}
-		}
-	}
-	return total
-}
 
 // Chaos runs the fault-injection experiment: the same workload fault-free,
 // under transient faults, and under a staging-rank crash. It demonstrates
@@ -98,85 +23,60 @@ func Chaos(w io.Writer) error {
 		crashIdx   = 1
 		crashDump  = 1
 	)
-	seed := chaosSeed()
+	seed, err := faultSeed()
+	if err != nil {
+		return err
+	}
 	header(w, fmt.Sprintf("Chaos — fault injection and recovery (seed %d)", seed))
 
-	base, baseWall, err := chaosRun(numCompute, numStaging, perRank, dumps, nil)
-	if err != nil {
-		return fmt.Errorf("bench: fault-free baseline: %w", err)
+	cfg := predata.PipelineConfig{
+		NumCompute:      numCompute,
+		NumStaging:      numStaging,
+		Dumps:           dumps,
+		Engine:          staging.Config{Workers: 2},
+		PullConcurrency: 2,
 	}
-
-	tPlan, err := faults.ParsePlan("transient:*:0.1", seed)
-	if err != nil {
-		return err
+	legs := []struct{ name, spec string }{
+		{"fault-free", ""},
+		{"transient p=0.1", "transient:*:0.1"},
+		{fmt.Sprintf("staging crash @dump %d", crashDump),
+			fmt.Sprintf("crash:%d@%d;transient:*:0.05", numCompute+crashIdx, crashDump)},
 	}
-	trans, transWall, err := chaosRun(numCompute, numStaging, perRank, dumps, &tPlan)
-	if err != nil {
-		return fmt.Errorf("bench: transient run: %w", err)
-	}
-
-	cPlan, err := faults.ParsePlan(
-		fmt.Sprintf("crash:%d@%d;transient:*:0.05", numCompute+crashIdx, crashDump), seed)
-	if err != nil {
-		return err
-	}
-	crash, crashWall, err := chaosRun(numCompute, numStaging, perRank, dumps, &cPlan)
-	if err != nil {
-		return fmt.Errorf("bench: crash run: %w", err)
-	}
-
+	// Every particle of every writer is binned exactly twice (two
+	// histogrammed columns) per dump.
+	want := int64(numCompute*perRank) * 2
+	results := make([]*predata.PipelineResult, len(legs))
+	walls := make([]time.Duration, len(legs))
 	fmt.Fprintf(w, "%-28s %12s %10s %10s %10s %9s\n",
 		"run", "wall", "transients", "retries", "degraded", "loss")
-	// Per-dump histogram totals verify zero data loss: every particle of
-	// every writer is binned exactly twice (two histogrammed columns).
-	want := int64(numCompute*perRank) * 2
-	loss := func(res *predata.PipelineResult) int64 {
-		var l int64
-		for d := 0; d < dumps; d++ {
-			l += want - histTotal(res, d)
+	for i, l := range legs {
+		if results[i], walls[i], err = runGTC(cfg, perRank, l.spec, seed, 0); err != nil {
+			return fmt.Errorf("bench: %s run: %w", l.name, err)
 		}
-		return l
-	}
-	row := func(name string, res *predata.PipelineResult, wall time.Duration) {
 		var transients, retries, degraded int64
-		if res.Fault != nil {
-			transients = res.Fault.InjectedTransients
-			retries = res.Fault.Retries
-			degraded = res.Fault.DegradedDumps
+		if f := results[i].Fault; f != nil {
+			transients, retries, degraded = f.InjectedTransients, f.Retries, f.DegradedDumps
 		}
+		_, got := census(results[i], dumps)
 		fmt.Fprintf(w, "%-28s %12v %10d %10d %10d %9d\n",
-			name, wall.Round(time.Millisecond), transients, retries, degraded, loss(res))
+			l.name, walls[i].Round(time.Millisecond), transients, retries, degraded, want*dumps-got)
 	}
-	row("fault-free", base, baseWall)
-	row("transient p=0.1", trans, transWall)
-	row(fmt.Sprintf("staging crash @dump %d", crashDump), crash, crashWall)
 
-	// Invariants the experiment exists to demonstrate.
-	for d := 0; d < dumps; d++ {
-		if got := histTotal(trans, d); got != want {
-			return fmt.Errorf("bench: transient run lost data at dump %d: %d != %d", d, got, want)
+	// Invariants the experiment exists to demonstrate: both chaotic
+	// runs lose nothing and finish within an order of magnitude of the
+	// baseline (generous — CI machines are noisy).
+	var c checks
+	for i := 1; i < len(legs); i++ {
+		perDump, _ := census(results[i], dumps)
+		for d, got := range perDump {
+			c.check(got == want, "%s run lost data at dump %d: %d != %d", legs[i].name, d, got, want)
 		}
-		if got := histTotal(crash, d); got != want {
-			return fmt.Errorf("bench: crash run lost data at dump %d: %d != %d", d, got, want)
-		}
+		c.check(walls[i] <= 10*walls[0]+time.Second, "%s run wall %v exceeds bounded slowdown of baseline %v",
+			legs[i].name, walls[i], walls[0])
 	}
-	if trans.Fault.InjectedTransients > 0 && trans.Fault.Retries == 0 {
-		return fmt.Errorf("bench: transients fired but nothing retried")
-	}
-	if crash.Fault.DegradedDumps == 0 {
-		return fmt.Errorf("bench: crash run reports no degraded dumps")
-	}
-	// Bounded slowdown: chaotic runs finish within an order of magnitude
-	// of the baseline (generous — CI machines are noisy).
-	for _, c := range []struct {
-		name string
-		wall time.Duration
-	}{{"transient", transWall}, {"crash", crashWall}} {
-		if c.wall > 10*baseWall+time.Second {
-			return fmt.Errorf("bench: %s run wall %v exceeds bounded slowdown of baseline %v",
-				c.name, c.wall, baseWall)
-		}
-	}
-	fmt.Fprintf(w, "\nrecovery absorbs transients with identical results and completes a staging crash degraded, lossless\n")
-	return nil
+	trans, crash := results[1].Fault, results[2].Fault
+	c.check(trans.InjectedTransients == 0 || trans.Retries != 0, "transients fired but nothing retried")
+	c.check(crash.DegradedDumps != 0, "crash run reports no degraded dumps")
+	return c.finish(w, "", nil,
+		"recovery absorbs transients with identical results and completes a staging crash degraded, lossless")
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -56,6 +55,7 @@ type ElasticRun struct {
 
 // ElasticSummary is the JSON document the elastic experiment emits.
 type ElasticSummary struct {
+	hosted
 	Seed       int64        `json:"seed"`
 	BaseFrames int          `json:"base_frames"`
 	Factors    []float64    `json:"burst_factors"`
@@ -121,49 +121,24 @@ func elasticOps(dump int) []staging.Operator {
 	return []staging.Operator{h}
 }
 
-// elasticFramesWant is the conservation figure: every rank follows the
-// same explicit schedule, so the total frame count is exact.
-func elasticFramesWant() int64 {
-	var perRank int64
-	for _, f := range elasticFactors {
-		perRank += int64(elasticBaseFrames * f)
-	}
-	return perRank * elasticCompute
-}
-
-// elasticFramesGot sums every histogram bin over every dump result. One
-// histogrammed column means each frame lands in exactly one bin, so the
-// sum equals the frames processed — regardless of which dumps each rank
-// served (elastic result rows are in served order, not dump order).
-func elasticFramesGot(res *predata.PipelineResult) int64 {
-	var total int64
-	for _, perDump := range res.StagingResults {
-		for _, r := range perDump {
-			if r == nil {
-				continue
-			}
-			hists, _ := r.PerOperator["histogram"]["histograms"].(map[int][]int64)
-			for _, bins := range hists {
-				for _, n := range bins {
-					total += n
-				}
-			}
-		}
-	}
-	return total
-}
-
 // elasticRow condenses one leg into its JSON form.
-func elasticRow(name string, numStaging int, res *predata.PipelineResult, wall time.Duration, rankDumps int64, scale *predata.ScaleReport) ElasticRun {
+func elasticRow(name string, numStaging int, res *predata.PipelineResult, wall time.Duration, scale *predata.ScaleReport) ElasticRun {
 	row := ElasticRun{
 		Name:         name,
 		StagingRanks: numStaging,
 		WallMS:       wall.Milliseconds(),
-		RankDumps:    rankDumps,
+		RankDumps:    int64(numStaging) * int64(len(elasticFactors)),
 		MinActive:    numStaging,
 		MaxActive:    numStaging,
-		DataLoss:     elasticFramesWant() - elasticFramesGot(res),
 	}
+	// Every rank follows the same explicit schedule, so the frame count
+	// is exact; one histogrammed column makes the census total the
+	// frames processed.
+	_, got := census(res, len(elasticFactors))
+	for _, f := range elasticFactors {
+		row.DataLoss += int64(elasticBaseFrames*f) * elasticCompute
+	}
+	row.DataLoss -= got
 	if ov := res.Overload; ov != nil {
 		row.SpilledBytes = ov.SpilledBytes
 		row.PassedBytes = ov.PassedBytes
@@ -191,6 +166,7 @@ func elasticRow(name string, numStaging int, res *predata.PipelineResult, wall t
 	}
 	row.DumpMaxMS = max.Milliseconds()
 	if scale != nil {
+		row.RankDumps = scale.RankDumps
 		row.Grows = scale.Grows
 		row.Shrinks = scale.Shrinks
 		row.MinActive = scale.MinActive
@@ -208,49 +184,49 @@ func elasticRow(name string, numStaging int, res *predata.PipelineResult, wall t
 // no frames anywhere. When jsonPath is non-empty the three legs are
 // also written there as JSON.
 func Elastic(w io.Writer, jsonPath string) error {
-	seed := chaosSeed()
+	seed, err := faultSeed()
+	if err != nil {
+		return err
+	}
 	header(w, fmt.Sprintf("Elastic — telemetry-driven staging autoscaling (seed %d)", seed))
-	dumps := len(elasticFactors)
 
-	staticLeg := func(name string, numStaging int) (ElasticRun, error) {
+	// leg runs one provisioning strategy: a static pool of numStaging
+	// ranks, or the autoscaler over it when pol is set.
+	leg := func(name string, numStaging int, pol *elastic.Policy) (ElasticRun, error) {
 		dir, err := os.MkdirTemp("", "predata-elastic-*")
 		if err != nil {
 			return ElasticRun{}, err
 		}
 		defer os.RemoveAll(dir)
+		cfg := elasticCfg(numStaging, dir)
 		start := time.Now()
-		res, err := predata.RunPipeline(elasticCfg(numStaging, dir), elasticWorkload(seed), elasticOps)
+		var (
+			res   *predata.PipelineResult
+			scale *predata.ScaleReport
+		)
+		if pol == nil {
+			res, err = predata.RunPipeline(cfg, elasticWorkload(seed), elasticOps)
+		} else {
+			res, scale, err = predata.RunElastic(cfg, predata.ElasticConfig{Policy: *pol}, elasticWorkload(seed), elasticOps)
+		}
 		if err != nil {
 			return ElasticRun{}, fmt.Errorf("bench: %s leg: %w", name, err)
 		}
-		return elasticRow(name, numStaging, res, time.Since(start),
-			int64(numStaging)*int64(dumps), nil), nil
+		return elasticRow(name, numStaging, res, time.Since(start), scale), nil
 	}
-
-	small, err := staticLeg("static-small", 1)
+	small, err := leg("static-small", 1, nil)
 	if err != nil {
 		return err
 	}
-	large, err := staticLeg("static-large", elasticPool)
+	large, err := leg("static-large", elasticPool, nil)
 	if err != nil {
 		return err
 	}
-
-	dir, err := os.MkdirTemp("", "predata-elastic-*")
+	elasticLeg, err := leg(fmt.Sprintf("elastic 1:%d", elasticPool), elasticPool,
+		&elastic.Policy{Min: 1, Max: elasticPool, GrowK: 1, ShrinkJ: 2, Cooldown: 1})
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dir)
-	start := time.Now()
-	res, scale, err := predata.RunElastic(elasticCfg(elasticPool, dir), predata.ElasticConfig{
-		Policy: elastic.Policy{Min: 1, Max: elasticPool, GrowK: 1, ShrinkJ: 2, Cooldown: 1},
-	}, elasticWorkload(seed), elasticOps)
-	if err != nil {
-		return fmt.Errorf("bench: elastic leg: %w", err)
-	}
-	elasticLeg := elasticRow(fmt.Sprintf("elastic 1:%d", elasticPool), elasticPool,
-		res, time.Since(start), scale.RankDumps, scale)
-
 	rows := []ElasticRun{small, large, elasticLeg}
 	fmt.Fprintf(w, "%-16s %8s %9s %9s %9s %10s %10s %7s %6s %6s\n",
 		"run", "wall", "dumpMean", "dumpMax", "spillMB", "rankDumps", "active", "grows", "shrnk", "loss")
@@ -262,36 +238,17 @@ func Elastic(w io.Writer, jsonPath string) error {
 	}
 
 	// The invariants the experiment exists to demonstrate.
+	var c checks
 	for _, r := range rows {
-		if r.DataLoss != 0 {
-			return fmt.Errorf("bench: %s lost %d frames", r.Name, r.DataLoss)
-		}
+		c.check(r.DataLoss == 0, "%s lost %d frames", r.Name, r.DataLoss)
 	}
 	overflow := func(r ElasticRun) int64 { return r.SpilledBytes + r.PassedBytes }
-	if overflow(elasticLeg) >= overflow(small) {
-		return fmt.Errorf("bench: elastic overflow %d B not below static-small %d B",
-			overflow(elasticLeg), overflow(small))
-	}
-	if elasticLeg.RankDumps >= large.RankDumps {
-		return fmt.Errorf("bench: elastic rank-dumps %d not below static-large %d",
-			elasticLeg.RankDumps, large.RankDumps)
-	}
-	if elasticLeg.Grows == 0 {
-		return fmt.Errorf("bench: elastic leg never grew: %+v", elasticLeg)
-	}
-
-	if jsonPath != "" {
-		doc, err := json.MarshalIndent(ElasticSummary{
-			Seed: seed, BaseFrames: elasticBaseFrames, Factors: elasticFactors, Runs: rows,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(doc, '\n'), 0o644); err != nil {
-			return fmt.Errorf("bench: write elastic json: %w", err)
-		}
-		fmt.Fprintf(w, "\nelastic comparison written to %s\n", jsonPath)
-	}
-	fmt.Fprintf(w, "\nelastic leg overflows less than static-small and consumes fewer rank-dumps than static-large, with zero frames lost\n")
-	return nil
+	c.check(overflow(elasticLeg) < overflow(small), "elastic overflow %d B not below static-small %d B",
+		overflow(elasticLeg), overflow(small))
+	c.check(elasticLeg.RankDumps < large.RankDumps, "elastic rank-dumps %d not below static-large %d",
+		elasticLeg.RankDumps, large.RankDumps)
+	c.check(elasticLeg.Grows != 0, "elastic leg never grew: %+v", elasticLeg)
+	return c.finish(w, jsonPath, &ElasticSummary{
+		Seed: seed, BaseFrames: elasticBaseFrames, Factors: elasticFactors, Runs: rows,
+	}, "elastic leg overflows less than static-small and consumes fewer rank-dumps than static-large, with zero frames lost")
 }

@@ -1,39 +1,14 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
-	"predata/internal/faults"
-	"predata/internal/ffs"
 	"predata/internal/flowctl"
-	"predata/internal/mpi"
-	"predata/internal/ops"
 	"predata/internal/predata"
 	"predata/internal/staging"
 )
-
-// slowOp wraps an operator with a fixed per-chunk Map cost, modelling an
-// expensive analytics kernel so the consumer drains slower than the
-// fabric delivers — the byte-rate imbalance that forces the flow ladder
-// to act. Optional-ness passes through so shedding still applies.
-type slowOp struct {
-	staging.Operator
-	delay time.Duration
-}
-
-func (s *slowOp) Map(ctx *staging.Context, chunk *staging.Chunk) error {
-	time.Sleep(s.delay)
-	return s.Operator.Map(ctx, chunk)
-}
-
-func (s *slowOp) Optional() bool {
-	o, ok := s.Operator.(staging.Optional)
-	return ok && o.Optional()
-}
 
 // OverloadRun is one leg of the overload experiment in BENCH_*.json form:
 // the overload trajectory — spill bytes, shed operators, peak accounted
@@ -60,48 +35,9 @@ type OverloadRun struct {
 
 // OverloadSummary is the JSON document the overload experiment emits.
 type OverloadSummary struct {
+	hosted
 	Seed int64         `json:"seed"`
 	Runs []OverloadRun `json:"runs"`
-}
-
-// overloadRun executes the GTC-style workload with a slow histogram
-// consumer under the given buffer budget, overload policy, and fault plan.
-func overloadRun(numCompute, numStaging, perRank, dumps, bufferMB int, pol flowctl.Policy, plan *faults.Plan) (*predata.PipelineResult, time.Duration, error) {
-	cfg := predata.PipelineConfig{
-		NumCompute:       numCompute,
-		NumStaging:       numStaging,
-		Dumps:            dumps,
-		PartialCalculate: ops.MinMaxPartial("p", []int{ColZeta, ColRadial, ColRank}),
-		Aggregate:        ops.MinMaxAggregate(),
-		Engine:           staging.Config{Workers: 1},
-		PullConcurrency:  4,
-		BufferMB:         bufferMB,
-		Overload:         pol,
-		FaultPlan:        plan,
-		Timeout:          2 * time.Minute,
-	}
-	opsFor := func(dump int) []staging.Operator {
-		h, err := ops.NewHistogramOperator(ops.HistogramConfig{
-			Var: "p", Columns: []int{ColZeta, ColRadial}, Bins: 64, AggRanges: true,
-		})
-		if err != nil {
-			return nil
-		}
-		return []staging.Operator{&slowOp{Operator: h, delay: 3 * time.Millisecond}}
-	}
-	start := time.Now()
-	res, err := predata.RunPipeline(cfg,
-		func(comm *mpi.Comm, client *predata.Client) error {
-			for step := 0; step < dumps; step++ {
-				arr := GenParticles(comm.Rank(), perRank, int64(step))
-				if _, err := client.Write(ParticleSchema, ffs.Record{"p": arr}, int64(step)); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		opsFor)
-	return res, time.Since(start), err
 }
 
 // overloadRow condenses one leg's pipeline result into its JSON form.
@@ -160,58 +96,51 @@ func Overload(w io.Writer, jsonPath string) error {
 		dumps      = 2
 		bufferMB   = 1
 	)
-	seed := chaosSeed()
+	seed, err := faultSeed()
+	if err != nil {
+		return err
+	}
 	header(w, fmt.Sprintf("Overload — memory budget and degradation ladder (seed %d)", seed))
 
-	base, baseWall, err := overloadRun(numCompute, numStaging, perRank, dumps, 0, flowctl.Policy{}, nil)
-	if err != nil {
-		return fmt.Errorf("bench: unconstrained baseline: %w", err)
-	}
-
 	spillPol := flowctl.Policy{Patience: 2 * time.Millisecond}
-	spill, spillWall, err := overloadRun(numCompute, numStaging, perRank, dumps, bufferMB, spillPol, nil)
-	if err != nil {
-		return fmt.Errorf("bench: spill run: %w", err)
-	}
-
 	shedPol := flowctl.Policy{
 		Patience:        time.Millisecond,
 		SpillLimitBytes: 1,       // first spilled byte escalates to shed
 		PassLimitBytes:  1 << 40, // never to raw pass-through
 		ShedSample:      2,
 	}
-	shed, shedWall, err := overloadRun(numCompute, numStaging, perRank, dumps, bufferMB, shedPol, nil)
-	if err != nil {
-		return fmt.Errorf("bench: shed run: %w", err)
+	legs := []struct {
+		name     string
+		bufferMB int
+		pol      flowctl.Policy
+		spec     string
+	}{
+		{"unconstrained", 0, flowctl.Policy{}, ""},
+		{fmt.Sprintf("budget %d MB (spill)", bufferMB), bufferMB, spillPol, ""},
+		{fmt.Sprintf("budget %d MB, shed forced", bufferMB), bufferMB, shedPol, ""},
+		{fmt.Sprintf("budget %d MB + transient p=0.1", bufferMB), bufferMB, spillPol, "transient:*:0.1"},
 	}
-
-	plan, err := faults.ParsePlan("transient:*:0.1", seed)
-	if err != nil {
-		return err
-	}
-	chaotic, chaoticWall, err := overloadRun(numCompute, numStaging, perRank, dumps, bufferMB, spillPol, &plan)
-	if err != nil {
-		return fmt.Errorf("bench: overload+faults run: %w", err)
-	}
-
 	// Data conservation as in the chaos experiment: every particle lands
 	// in exactly one bin per histogrammed column — except chunks withheld
 	// from the (optional) histogram by shedding, which are reported, not
 	// lost.
-	want := int64(numCompute*perRank) * 2
-	loss := func(res *predata.PipelineResult) int64 {
-		var l int64
-		for d := 0; d < dumps; d++ {
-			l += want - histTotal(res, d)
+	want := int64(numCompute*perRank) * 2 * dumps
+	rows := make([]OverloadRun, 0, len(legs))
+	for _, l := range legs {
+		res, wall, err := runGTC(predata.PipelineConfig{
+			NumCompute:      numCompute,
+			NumStaging:      numStaging,
+			Dumps:           dumps,
+			Engine:          staging.Config{Workers: 1},
+			PullConcurrency: 4,
+			BufferMB:        l.bufferMB,
+			Overload:        l.pol,
+		}, perRank, l.spec, seed, 3*time.Millisecond)
+		if err != nil {
+			return fmt.Errorf("bench: %s run: %w", l.name, err)
 		}
-		return l
-	}
-
-	rows := []OverloadRun{
-		overloadRow("unconstrained", base, baseWall, loss(base)),
-		overloadRow(fmt.Sprintf("budget %d MB (spill)", bufferMB), spill, spillWall, loss(spill)),
-		overloadRow(fmt.Sprintf("budget %d MB, shed forced", bufferMB), shed, shedWall, loss(shed)),
-		overloadRow(fmt.Sprintf("budget %d MB + transient p=0.1", bufferMB), chaotic, chaoticWall, loss(chaotic)),
+		_, got := census(res, dumps)
+		rows = append(rows, overloadRow(l.name, res, wall, want-got))
 	}
 	fmt.Fprintf(w, "%-30s %9s %9s %8s %10s %10s %9s %8s %6s\n",
 		"run", "wall", "throttle", "spillMB", "replayed", "shed", "peakMB", "level", "loss")
@@ -222,36 +151,17 @@ func Overload(w io.Writer, jsonPath string) error {
 	}
 
 	// Invariants the experiment exists to demonstrate.
-	if rows[1].Throttles == 0 || rows[1].SpilledChunks == 0 {
-		return fmt.Errorf("bench: spill run never throttled or spilled: %+v", rows[1])
-	}
-	if rows[1].ReplayedChunks != rows[1].SpilledChunks {
-		return fmt.Errorf("bench: spill run lost chunks: replayed %d of %d",
-			rows[1].ReplayedChunks, rows[1].SpilledChunks)
-	}
-	if rows[1].DataLoss != 0 || rows[3].DataLoss != 0 {
-		return fmt.Errorf("bench: spill-level runs must be lossless: %+v / %+v", rows[1], rows[3])
-	}
+	var c checks
+	c.check(rows[1].Throttles != 0 && rows[1].SpilledChunks != 0, "spill run never throttled or spilled: %+v", rows[1])
+	c.check(rows[1].ReplayedChunks == rows[1].SpilledChunks, "spill run lost chunks: replayed %d of %d",
+		rows[1].ReplayedChunks, rows[1].SpilledChunks)
+	c.check(rows[1].DataLoss == 0 && rows[3].DataLoss == 0, "spill-level runs must be lossless: %+v / %+v", rows[1], rows[3])
 	chunkBytes := int64(perRank * 8 * 8) // 8 float64 columns
 	for _, r := range rows[1:] {
-		if r.PeakBytes > r.BudgetBytes+2*chunkBytes {
-			return fmt.Errorf("bench: %s peak %d exceeds budget %d + slack", r.Name, r.PeakBytes, r.BudgetBytes)
-		}
+		c.check(r.PeakBytes <= r.BudgetBytes+2*chunkBytes, "%s peak %d exceeds budget %d + slack", r.Name, r.PeakBytes, r.BudgetBytes)
 	}
-	if rows[2].ShedChunks == 0 || len(rows[2].ShedOperators) == 0 || rows[2].DegradedDumps == 0 {
-		return fmt.Errorf("bench: forced shed run never shed: %+v", rows[2])
-	}
-
-	if jsonPath != "" {
-		doc, err := json.MarshalIndent(OverloadSummary{Seed: seed, Runs: rows}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(doc, '\n'), 0o644); err != nil {
-			return fmt.Errorf("bench: write overload json: %w", err)
-		}
-		fmt.Fprintf(w, "\noverload trajectory written to %s\n", jsonPath)
-	}
-	fmt.Fprintf(w, "\nbudgeted runs stay within budget + one chunk, spill is lossless, shed degrades only optional operators\n")
-	return nil
+	c.check(rows[2].ShedChunks != 0 && len(rows[2].ShedOperators) != 0 && rows[2].DegradedDumps != 0,
+		"forced shed run never shed: %+v", rows[2])
+	return c.finish(w, jsonPath, &OverloadSummary{Seed: seed, Runs: rows},
+		"budgeted runs stay within budget + one chunk, spill is lossless, shed degrades only optional operators")
 }

@@ -1,17 +1,12 @@
 package bench
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
-	"predata/internal/faults"
-	"predata/internal/ffs"
-	"predata/internal/mpi"
-	"predata/internal/ops"
 	"predata/internal/predata"
 	"predata/internal/staging"
 	"predata/internal/trace"
@@ -73,6 +68,7 @@ type RestartRun struct {
 
 // RestartSummary is the JSON document the restart experiment emits.
 type RestartSummary struct {
+	hosted
 	Seed    int64 `json:"seed"`
 	Writers int   `json:"writers"`
 	Staging int   `json:"staging"`
@@ -87,68 +83,12 @@ type RestartSummary struct {
 	Runs               []RestartRun `json:"runs"`
 }
 
-// restBenchRun executes one leg of the durability experiment. A
-// non-empty walDir turns on journaling; bufferMB>0 adds the flow
-// controller for the overload leg. The returned recorder holds the
-// leg's flight recording for trace.Verify.
-func restBenchRun(spec string, seed int64, walDir string, checkpointEvery, bufferMB int) (*predata.PipelineResult, time.Duration, *trace.Recorder, error) {
-	recorder := trace.New(trace.Config{
-		NumCompute: advCompute, NumStaging: advStaging, Dumps: advDumps,
-	})
-	cfg := predata.PipelineConfig{
-		NumCompute:       advCompute,
-		NumStaging:       advStaging,
-		Dumps:            advDumps,
-		PartialCalculate: ops.MinMaxPartial("p", []int{ColZeta, ColRadial, ColRank}),
-		Aggregate:        ops.MinMaxAggregate(),
-		Engine:           staging.Config{Workers: 2},
-		PullConcurrency:  2,
-		Timeout:          2 * time.Minute,
-		WALDir:           walDir,
-		CheckpointEvery:  checkpointEvery,
-		BufferMB:         bufferMB,
-		Tracer:           recorder,
-	}
-	if spec != "" {
-		plan, err := faults.ParsePlan(spec, seed)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		cfg.FaultPlan = &plan
-	}
-	opsFor := func(dump int) []staging.Operator {
-		h, err := ops.NewHistogramOperator(ops.HistogramConfig{
-			Var: "p", Columns: []int{ColZeta, ColRadial}, Bins: 64, AggRanges: true,
-		})
-		if err != nil {
-			return nil
-		}
-		return []staging.Operator{h}
-	}
-	start := time.Now()
-	res, err := predata.RunPipeline(cfg,
-		func(comm *mpi.Comm, client *predata.Client) error {
-			for step := 0; step < advDumps; step++ {
-				arr := GenParticles(comm.Rank(), restPerRank, int64(step))
-				if _, err := client.Write(ParticleSchema, ffs.Record{"p": arr}, int64(step)); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		opsFor)
-	return res, time.Since(start), recorder, err
-}
-
 // restBenchRow condenses one leg into its JSON form. Loss is measured
 // against the conservation figure: every particle bins exactly twice
 // (two histogrammed columns) per dump.
 func restBenchRow(name string, res *predata.PipelineResult, wall time.Duration) RestartRun {
 	want := int64(advCompute*restPerRank) * 2 * int64(advDumps)
-	var got int64
-	for d := 0; d < advDumps; d++ {
-		got += histTotal(res, d)
-	}
+	_, got := census(res, advDumps)
 	row := RestartRun{
 		Name:     name,
 		WallMS:   wall.Milliseconds(),
@@ -178,17 +118,6 @@ func restBenchRow(name string, res *predata.PipelineResult, wall time.Duration) 
 	return row
 }
 
-// perDumpIdentical reports the first dump whose histogram census
-// diverges between two legs, or -1 when every dump matches.
-func perDumpIdentical(a, b *predata.PipelineResult) int {
-	for d := 0; d < advDumps; d++ {
-		if histTotal(a, d) != histTotal(b, d) {
-			return d
-		}
-	}
-	return -1
-}
-
 // Restart runs the durability experiment: the same workload without a
 // journal, journaling with a checkpoint cadence (measuring the
 // overhead), bouncing one staging rank across a two-dump window,
@@ -200,7 +129,10 @@ func perDumpIdentical(a, b *predata.PipelineResult) int {
 // a tenth of the dump wall-clock. When jsonPath is non-empty the legs
 // are also written there as JSON.
 func Restart(w io.Writer, jsonPath string) error {
-	seed := chaosSeed()
+	seed, err := faultSeed()
+	if err != nil {
+		return err
+	}
 	header(w, fmt.Sprintf("Restart — journal, checkpoint and crash-restart recovery (seed %d)", seed))
 
 	// Journal onto memory-backed storage when the host has it: staging
@@ -234,16 +166,37 @@ func Restart(w io.Writer, jsonPath string) error {
 		{"restart overloaded", restBounce, walDir("overload"), 0, 1},
 	}
 
+	// run executes one leg over the adversary shape. A non-empty walDir
+	// turns on journaling; bufferMB>0 adds the flow controller for the
+	// overload leg. The returned recorder holds the leg's flight
+	// recording for trace.Verify.
+	run := func(spec, walDir string, checkpointEvery, bufferMB int) (*predata.PipelineResult, time.Duration, *trace.Recorder, error) {
+		rec := trace.New(trace.Config{NumCompute: advCompute, NumStaging: advStaging, Dumps: advDumps})
+		res, wall, err := runGTC(predata.PipelineConfig{
+			NumCompute:      advCompute,
+			NumStaging:      advStaging,
+			Dumps:           advDumps,
+			Engine:          staging.Config{Workers: 2},
+			PullConcurrency: 2,
+			WALDir:          walDir,
+			CheckpointEvery: checkpointEvery,
+			BufferMB:        bufferMB,
+			Tracer:          rec,
+		}, restPerRank, spec, seed, 0)
+		return res, wall, rec, err
+	}
+
 	rows := make([]RestartRun, 0, len(legs))
-	results := make([]*predata.PipelineResult, 0, len(legs))
+	censuses := make([][]int64, 0, len(legs))
 	recorders := make([]*trace.Recorder, 0, len(legs))
 	for _, l := range legs {
-		res, wall, rec, err := restBenchRun(l.spec, seed, l.walDir, l.checkpointEvery, l.bufferMB)
+		res, wall, rec, err := run(l.spec, l.walDir, l.checkpointEvery, l.bufferMB)
 		if err != nil {
 			return fmt.Errorf("bench: %s leg: %w", l.name, err)
 		}
+		perDump, _ := census(res, advDumps)
 		rows = append(rows, restBenchRow(l.name, res, wall))
-		results = append(results, res)
+		censuses = append(censuses, perDump)
 		recorders = append(recorders, rec)
 	}
 
@@ -255,13 +208,13 @@ func Restart(w io.Writer, jsonPath string) error {
 	var shares []float64
 	_, _, wallPct, err := pairedOverhead(restPairs,
 		func() (time.Duration, error) {
-			_, wall, _, err := restBenchRun("", seed, "", 0, 0)
+			_, wall, _, err := run("", "", 0, 0)
 			return wall, err
 		},
 		func() (time.Duration, error) {
 			dir := walDir(fmt.Sprintf("pair-%d", len(shares)))
 			defer os.RemoveAll(dir)
-			res, wall, _, err := restBenchRun("", seed, dir, 2, 0)
+			res, wall, _, err := run("", dir, 2, 0)
 			if err == nil {
 				shares = append(shares, restBenchRow("pair", res, wall).JournalPct)
 			}
@@ -283,62 +236,38 @@ func Restart(w io.Writer, jsonPath string) error {
 	fmt.Fprintf(w, "\njournal overhead %.2f%% of dump wall-clock (median of %d paired runs, %.2f%%..%.2f%%); paired wall-clock cost %.2f%%\n",
 		overhead, restPairs, shares[0], shares[len(shares)-1], wallPct)
 
-	// The invariants the experiment exists to demonstrate. Every check
-	// runs and the legs are written out even when some fail, so one
-	// broken invariant never hides another — or the numbers behind it.
-	var errs []error
-	check := func(ok bool, format string, args ...any) {
-		if !ok {
-			errs = append(errs, fmt.Errorf("bench: "+format, args...))
-		}
-	}
+	// The invariants the experiment exists to demonstrate.
+	var c checks
 	base, clean, bounce, crash, overload := rows[0], rows[1], rows[2], rows[3], rows[4]
-	check(base.DataLoss == 0 && base.DegradedDumps == 0, "no-journal leg not clean: %+v", base)
+	c.check(base.DataLoss == 0 && base.DegradedDumps == 0, "no-journal leg not clean: %+v", base)
 	// Journaling must be invisible in the results and cheap on the clock.
-	check(clean.DataLoss == 0 && clean.DegradedDumps == 0, "clean journal leg not lossless: %+v", clean)
-	d := perDumpIdentical(results[0], results[1])
-	check(d < 0, "journaling changed dump %d's census", d)
-	check(clean.WalRecords != 0 && clean.WalBytes != 0, "clean journal leg appended nothing: %+v", clean)
+	c.check(clean.DataLoss == 0 && clean.DegradedDumps == 0, "clean journal leg not lossless: %+v", clean)
+	c.check(slices.Equal(censuses[0], censuses[1]), "journaling changed the per-dump census: %v, want %v", censuses[1], censuses[0])
+	c.check(clean.WalRecords != 0 && clean.WalBytes != 0, "clean journal leg appended nothing: %+v", clean)
 	wantCkpt := int64(advStaging * advDumps / 2)
-	check(clean.Checkpoints == wantCkpt, "clean leg cut %d checkpoints, want %d", clean.Checkpoints, wantCkpt)
-	check(overhead < 10, "journal overhead %.2f%% of dump wall-clock (median of %d pairs), budget is <10%%", overhead, restPairs)
+	c.check(clean.Checkpoints == wantCkpt, "clean leg cut %d checkpoints, want %d", clean.Checkpoints, wantCkpt)
+	c.check(overhead < 10, "journal overhead %.2f%% of dump wall-clock (median of %d pairs), budget is <10%%", overhead, restPairs)
 	// The bounce reroutes its writers and rejoins without losing a value.
-	check(bounce.DataLoss == 0, "single restart leg lost %d values across the bounce", bounce.DataLoss)
-	check(bounce.Restarts == 1 && bounce.ReroutedDumps != 0, "single restart leg did not bounce and reroute: %+v", bounce)
+	c.check(bounce.DataLoss == 0, "single restart leg lost %d values across the bounce", bounce.DataLoss)
+	c.check(bounce.Restarts == 1 && bounce.ReroutedDumps != 0, "single restart leg did not bounce and reroute: %+v", bounce)
 	// The whole-service crash replays back bit-identical: no degradation
 	// anywhere, every rank rebuilt, the crashed dump's chunks replayed.
-	check(crash.DataLoss == 0 && crash.DegradedDumps == 0, "crashall leg must replay losslessly: %+v", crash)
-	d = perDumpIdentical(results[0], results[3])
-	check(d < 0, "crashall replay diverged from the baseline at dump %d", d)
-	check(crash.Restarts == int64(advStaging), "crashall rebuilt %d ranks, want %d", crash.Restarts, advStaging)
-	check(crash.WalReplayed == int64(advCompute), "crashall replayed %d chunks, want %d", crash.WalReplayed, advCompute)
+	c.check(crash.DataLoss == 0 && crash.DegradedDumps == 0, "crashall leg must replay losslessly: %+v", crash)
+	c.check(slices.Equal(censuses[0], censuses[3]), "crashall replay diverged from the baseline census: %v, want %v", censuses[3], censuses[0])
+	c.check(crash.Restarts == int64(advStaging), "crashall rebuilt %d ranks, want %d", crash.Restarts, advStaging)
+	c.check(crash.WalReplayed == int64(advCompute), "crashall replayed %d chunks, want %d", crash.WalReplayed, advCompute)
 	// The flight recording must prove it: replays matched to journal
 	// appends byte-for-byte and no chunk reduced by two incarnations.
 	if rep, err := trace.Verify(recorders[3].Snapshot()); err != nil {
-		check(false, "crashall leg failed trace verification: %w", err)
+		c.check(false, "crashall leg failed trace verification: %w", err)
 	} else {
-		check(rep.WALChecks != 0 && rep.ExclusivityChecks != 0, "crashall recording ran no WAL/restart checks: %+v", rep)
+		c.check(rep.WALChecks != 0 && rep.ExclusivityChecks != 0, "crashall recording ran no WAL/restart checks: %+v", rep)
 	}
 	// Bouncing under a starved flow controller may shed, but only loudly.
-	check(overload.Restarts == 1, "overloaded restart leg did not bounce: %+v", overload)
-	check(overload.DataLoss == 0 || overload.DegradedDumps != 0, "overloaded restart leg lost %d values silently", overload.DataLoss)
-
-	if jsonPath != "" {
-		doc, err := json.MarshalIndent(RestartSummary{
-			Seed: seed, Writers: advCompute, Staging: advStaging, Dumps: advDumps,
-			JournalOverheadPct: overhead, PairedWallPct: wallPct, JournalPairs: restPairs, Runs: rows,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(doc, '\n'), 0o644); err != nil {
-			return fmt.Errorf("bench: write restart json: %w", err)
-		}
-		fmt.Fprintf(w, "\nrestart legs written to %s\n", jsonPath)
-	}
-	if len(errs) > 0 {
-		return errors.Join(errs...)
-	}
-	fmt.Fprintf(w, "\nbounced ranks rejoin from their journals, a whole-service crash replays back bit-identical, journaling costs under a tenth of the dump — no silent loss anywhere\n")
-	return nil
+	c.check(overload.Restarts == 1, "overloaded restart leg did not bounce: %+v", overload)
+	c.check(overload.DataLoss == 0 || overload.DegradedDumps != 0, "overloaded restart leg lost %d values silently", overload.DataLoss)
+	return c.finish(w, jsonPath, &RestartSummary{
+		Seed: seed, Writers: advCompute, Staging: advStaging, Dumps: advDumps,
+		JournalOverheadPct: overhead, PairedWallPct: wallPct, JournalPairs: restPairs, Runs: rows,
+	}, "bounced ranks rejoin from their journals, a whole-service crash replays back bit-identical, journaling costs under a tenth of the dump — no silent loss anywhere")
 }

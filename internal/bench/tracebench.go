@@ -1,18 +1,12 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"time"
 
-	"predata/internal/faults"
-	"predata/internal/ffs"
-	"predata/internal/mpi"
-	"predata/internal/ops"
 	"predata/internal/predata"
 	"predata/internal/staging"
 	"predata/internal/trace"
@@ -34,47 +28,10 @@ type TraceRun struct {
 
 // TraceSummary is the JSON document the trace experiment emits.
 type TraceSummary struct {
+	hosted
 	Seed        int64      `json:"seed"`
 	OverheadPct float64    `json:"overhead_pct"`
 	Runs        []TraceRun `json:"runs"`
-}
-
-// traceWorkload runs the GTC mini-workload once with the given recorder
-// (nil for the untraced baseline) and fault plan, returning the wall
-// time of the whole pipeline.
-func traceWorkload(numCompute, numStaging, perRank, dumps int, tracer *trace.Recorder, plan *faults.Plan) (time.Duration, error) {
-	cfg := predata.PipelineConfig{
-		NumCompute:       numCompute,
-		NumStaging:       numStaging,
-		Dumps:            dumps,
-		PartialCalculate: ops.MinMaxPartial("p", []int{ColZeta, ColRadial, ColRank}),
-		Aggregate:        ops.MinMaxAggregate(),
-		Engine:           staging.Config{Workers: 2},
-		FaultPlan:        plan,
-		Tracer:           tracer,
-		Timeout:          2 * time.Minute,
-	}
-	opsFor := func(dump int) []staging.Operator {
-		h, err := ops.NewHistogramOperator(ops.HistogramConfig{
-			Var: "p", Columns: []int{ColZeta, ColRadial}, Bins: 64, AggRanges: true,
-		})
-		if err != nil {
-			return nil
-		}
-		return []staging.Operator{h}
-	}
-	start := time.Now()
-	_, err := predata.RunPipeline(cfg,
-		func(comm *mpi.Comm, client *predata.Client) error {
-			for step := 0; step < dumps; step++ {
-				arr := GenParticles(comm.Rank(), perRank, int64(step))
-				if _, err := client.Write(ParticleSchema, ffs.Record{"p": arr}, int64(step)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, opsFor)
-	return time.Since(start), err
 }
 
 // pairedOverhead runs reps back-to-back (base, treated) pairs of a
@@ -131,34 +88,6 @@ func median(xs []float64) float64 {
 	return m
 }
 
-// tracePair measures the flight recorder's cost as reps (untraced,
-// traced) pairs of the workload (pairedOverhead), also returning the
-// recording of the fastest traced repetition.
-func tracePair(reps, numCompute, numStaging, perRank, dumps int) (untraced, traced time.Duration, overheadPct float64, bestRec *trace.Recording, err error) {
-	fastest := time.Duration(-1)
-	untraced, traced, overheadPct, err = pairedOverhead(reps,
-		func() (time.Duration, error) {
-			return traceWorkload(numCompute, numStaging, perRank, dumps, nil, nil)
-		},
-		func() (time.Duration, error) {
-			// Right-size the rings for this workload (~200 events): the
-			// default 16×8192 rings hold 7 MB live, enough to shift GC
-			// pacing in an allocation-heavy pipeline and drown the
-			// recording cost we are measuring. Capacity stays ~40× the
-			// event count, so nothing drops.
-			rec := trace.New(trace.Config{
-				NumCompute: numCompute, NumStaging: numStaging, Dumps: dumps,
-				Shards: 4, ShardCapacity: 2048,
-			})
-			d, err := traceWorkload(numCompute, numStaging, perRank, dumps, rec, nil)
-			if err == nil && (fastest < 0 || d < fastest) {
-				fastest, bestRec = d, rec.Snapshot()
-			}
-			return d, err
-		})
-	return untraced, traced, overheadPct, bestRec, err
-}
-
 // traceRow condenses one verified leg into its JSON form.
 func traceRow(name string, wall time.Duration, rec *trace.Recording, rep *trace.VerifyReport) TraceRun {
 	row := TraceRun{Name: name, WallMS: wall.Milliseconds()}
@@ -197,9 +126,22 @@ func Trace(w io.Writer, jsonPath string) error {
 		crashDumps   = 3
 		crashDump    = 1
 	)
-	seed := chaosSeed()
+	seed, err := faultSeed()
+	if err != nil {
+		return err
+	}
 	header(w, fmt.Sprintf("Trace — flight-recorder overhead and verified invariants (seed %d)", seed))
 
+	leg := func(tracer *trace.Recorder) (time.Duration, error) {
+		_, wall, err := runGTC(predata.PipelineConfig{
+			NumCompute: numCompute,
+			NumStaging: numStaging,
+			Dumps:      dumps,
+			Engine:     staging.Config{Workers: 2},
+			Tracer:     tracer,
+		}, perRank, "", seed, 0)
+		return wall, err
+	}
 	// The true recording cost (~200 events of a few ns each) sits far
 	// below this workload's run-to-run noise, so a single measurement can
 	// still land above the budget by chance. Re-measure up to three
@@ -211,39 +153,55 @@ func Trace(w io.Writer, jsonPath string) error {
 		rec              *trace.Recording
 	)
 	for attempt := 0; ; attempt++ {
-		u, t, o, r, err := tracePair(reps, numCompute, numStaging, perRank, dumps)
+		// Each attempt keeps the recording of its fastest traced repetition.
+		fastest := time.Duration(-1)
+		var best *trace.Recording
+		u, t, o, err := pairedOverhead(reps,
+			func() (time.Duration, error) { return leg(nil) },
+			func() (time.Duration, error) {
+				// Right-size the rings for this workload (~200 events): the
+				// default 16×8192 rings hold 7 MB live, enough to shift GC
+				// pacing in an allocation-heavy pipeline and drown the
+				// recording cost we are measuring. Capacity stays ~40× the
+				// event count, so nothing drops.
+				r := trace.New(trace.Config{
+					NumCompute: numCompute, NumStaging: numStaging, Dumps: dumps,
+					Shards: 4, ShardCapacity: 2048,
+				})
+				d, err := leg(r)
+				if err == nil && (fastest < 0 || d < fastest) {
+					fastest, best = d, r.Snapshot()
+				}
+				return d, err
+			})
 		if err != nil {
 			return fmt.Errorf("bench: overhead measurement: %w", err)
 		}
 		if attempt == 0 || o < overhead {
-			untraced, traced, overhead, rec = u, t, o, r
+			untraced, traced, overhead, rec = u, t, o, best
 		}
 		if overhead <= 5.0 || attempt == 2 {
 			break
 		}
 	}
-	rep, err := trace.Verify(rec)
-	if err != nil {
-		return fmt.Errorf("bench: traced run failed verification: %w", err)
-	}
+	rep, repErr := trace.Verify(rec)
 
 	crashEP := crashCompute + 1
-	plan, err := faults.ParsePlan(fmt.Sprintf("crash:%d@%d", crashEP, crashDump), seed)
-	if err != nil {
-		return err
-	}
 	crashRec := trace.New(trace.Config{
 		NumCompute: crashCompute, NumStaging: crashStaging, Dumps: crashDumps,
 	})
-	crashWall, err := traceWorkload(crashCompute, crashStaging, crashPerRank, crashDumps, crashRec, &plan)
+	_, crashWall, err := runGTC(predata.PipelineConfig{
+		NumCompute: crashCompute,
+		NumStaging: crashStaging,
+		Dumps:      crashDumps,
+		Engine:     staging.Config{Workers: 2},
+		Tracer:     crashRec,
+	}, crashPerRank, fmt.Sprintf("crash:%d@%d", crashEP, crashDump), seed, 0)
 	if err != nil {
 		return fmt.Errorf("bench: traced crash run: %w", err)
 	}
 	crash := crashRec.Snapshot()
-	crashRep, err := trace.Verify(crash)
-	if err != nil {
-		return fmt.Errorf("bench: traced 64:1 crash run failed verification: %w", err)
-	}
+	crashRep, crashErr := trace.Verify(crash)
 
 	rows := []TraceRun{
 		traceRow(fmt.Sprintf("untraced best-of-%d", reps), untraced, nil, nil),
@@ -260,31 +218,13 @@ func Trace(w io.Writer, jsonPath string) error {
 		overhead, reps, traced, untraced)
 
 	// Invariants the experiment exists to demonstrate.
-	if overhead > 5.0 {
-		return fmt.Errorf("bench: tracing overhead %.2f%% exceeds the 5%% budget", overhead)
-	}
-	if rec.Dropped != 0 || crash.Dropped != 0 {
-		return fmt.Errorf("bench: recordings dropped events (%d traced, %d crash)", rec.Dropped, crash.Dropped)
-	}
-	if rep.Collectives == 0 || rep.ShuffleEdges == 0 {
-		return fmt.Errorf("bench: traced run verified nothing: %+v", rep)
-	}
-	if crashRep.Collectives == 0 || crashRep.ShuffleEdges == 0 {
-		return fmt.Errorf("bench: crash run verified nothing: %+v", crashRep)
-	}
-
-	if jsonPath != "" {
-		doc, err := json.MarshalIndent(TraceSummary{
-			Seed: seed, OverheadPct: overhead, Runs: rows,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(doc, '\n'), 0o644); err != nil {
-			return fmt.Errorf("bench: write trace json: %w", err)
-		}
-		fmt.Fprintf(w, "trace summary written to %s\n", jsonPath)
-	}
-	fmt.Fprintf(w, "\ntracing costs <5%% wall clock and a crashed 64:1 run still verifies all ordering invariants\n")
-	return nil
+	var c checks
+	c.check(overhead <= 5.0, "tracing overhead %.2f%% exceeds the 5%% budget", overhead)
+	c.check(rec.Dropped == 0 && crash.Dropped == 0, "recordings dropped events (%d traced, %d crash)", rec.Dropped, crash.Dropped)
+	c.check(repErr == nil, "traced run failed verification: %w", repErr)
+	c.check(crashErr == nil, "traced 64:1 crash run failed verification: %w", crashErr)
+	c.check(rep.Collectives != 0 && rep.ShuffleEdges != 0, "traced run verified nothing: %+v", rep)
+	c.check(crashRep.Collectives != 0 && crashRep.ShuffleEdges != 0, "crash run verified nothing: %+v", crashRep)
+	return c.finish(w, jsonPath, &TraceSummary{Seed: seed, OverheadPct: overhead, Runs: rows},
+		"tracing costs <5% wall clock and a crashed 64:1 run still verifies all ordering invariants")
 }
