@@ -140,7 +140,8 @@ func (a *Array) Validate() error {
 // int64, uint64, float64, string, []byte, []int64, []float64, or *Array.
 type Record map[string]any
 
-// writer is an append-only little-endian buffer.
+// writer is a little-endian buffer that Append sizes exactly before
+// writing, so no write regrows it.
 type writer struct{ buf []byte }
 
 func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
@@ -150,25 +151,40 @@ func (w *writer) str(s string) {
 	w.u32(uint32(len(s)))
 	w.buf = append(w.buf, s...)
 }
-func (w *writer) f64(v float64)  { w.u64(math.Float64bits(v)) }
-func (w *writer) i64(v int64)    { w.u64(uint64(v)) }
 func (w *writer) bytes(b []byte) { w.u32(uint32(len(b))); w.buf = append(w.buf, b...) }
+
+// words extends the buffer by n 8-byte words, within its capacity, and
+// returns them for the caller to fill. The word loops here and in
+// reader test len(b) >= 8 beside the element index, which is always
+// true but lets the compiler drop the per-element bounds checks.
+func (w *writer) words(n int) []byte {
+	l := len(w.buf)
+	w.buf = w.buf[:l+8*n]
+	return w.buf[l:]
+}
+
 func (w *writer) u64s(v []uint64) {
 	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.u64(x)
+	b := w.words(len(v))
+	for i := 0; i < len(v) && len(b) >= 8; i++ {
+		binary.LittleEndian.PutUint64(b[:8], v[i])
+		b = b[8:]
 	}
 }
 func (w *writer) f64s(v []float64) {
 	w.u64(uint64(len(v)))
-	for _, x := range v {
-		w.f64(x)
+	b := w.words(len(v))
+	for i := 0; i < len(v) && len(b) >= 8; i++ {
+		binary.LittleEndian.PutUint64(b[:8], math.Float64bits(v[i]))
+		b = b[8:]
 	}
 }
 func (w *writer) i64s(v []int64) {
 	w.u64(uint64(len(v)))
-	for _, x := range v {
-		w.i64(x)
+	b := w.words(len(v))
+	for i := 0; i < len(v) && len(b) >= 8; i++ {
+		binary.LittleEndian.PutUint64(b[:8], uint64(v[i]))
+		b = b[8:]
 	}
 }
 
@@ -247,51 +263,93 @@ func (r *reader) bytesField() []byte {
 	return b
 }
 
+// words verifies that n 8-byte words follow and consumes them.
+func (r *reader) words(n int) []byte {
+	if !r.need(8 * n) {
+		return nil
+	}
+	b := r.buf[r.off : r.off+8*n]
+	r.off += 8 * n
+	return b
+}
+
+// wordCount reads a u64 element count and verifies that many 8-byte
+// words follow, so a corrupt count fails before anything is allocated.
+func (r *reader) wordCount(what string) int {
+	n := r.u64()
+	if n > uint64(len(r.buf)-r.off)/8 {
+		r.fail("%s slice length %d exceeds buffer", what, n)
+		return 0
+	}
+	return int(n)
+}
+
 func (r *reader) u64s() []uint64 {
 	n := int(r.u32())
 	if n == 0 {
 		return nil
 	}
-	if !r.need(8 * n) {
+	b := r.words(n)
+	if r.err != nil {
 		return nil
 	}
 	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.u64()
+	for i := 0; i < len(out) && len(b) >= 8; i++ {
+		out[i] = binary.LittleEndian.Uint64(b[:8])
+		b = b[8:]
 	}
 	return out
 }
 
 func (r *reader) f64s() []float64 {
-	n := r.u64()
-	if n > uint64(len(r.buf)-r.off)/8 {
-		r.fail("float64 slice length %d exceeds buffer", n)
+	n := r.wordCount("float64")
+	b := r.words(n)
+	if r.err != nil {
 		return nil
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.f64()
+	for i := 0; i < len(out) && len(b) >= 8; i++ {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))
+		b = b[8:]
 	}
 	return out
 }
 
 func (r *reader) i64s() []int64 {
-	n := r.u64()
-	if n > uint64(len(r.buf)-r.off)/8 {
-		r.fail("int64 slice length %d exceeds buffer", n)
+	n := r.wordCount("int64")
+	b := r.words(n)
+	if r.err != nil {
 		return nil
 	}
 	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.i64()
+	for i := 0; i < len(out) && len(b) >= 8; i++ {
+		out[i] = int64(binary.LittleEndian.Uint64(b[:8]))
+		b = b[8:]
 	}
 	return out
 }
 
 // Encode serializes the record under the schema into a self-describing
 // buffer: header, schema description, then field values in schema order.
+// The buffer is allocated once, at its exact size.
 func Encode(schema *Schema, rec Record) ([]byte, error) {
-	w := &writer{buf: make([]byte, 0, 256)}
+	return Append(nil, schema, rec)
+}
+
+// Append appends Encode's bytes to dst, growing it at most once, to
+// exactly the room Size reports, and returns the extended buffer. On
+// error dst is returned unchanged.
+func Append(dst []byte, schema *Schema, rec Record) ([]byte, error) {
+	n, err := Size(schema, rec)
+	if err != nil {
+		return dst, err
+	}
+	if cap(dst)-len(dst) < n {
+		grown := make([]byte, len(dst), len(dst)+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	w := writer{buf: dst}
 	w.u32(Magic)
 	w.str(schema.Name)
 	w.u32(uint32(len(schema.Fields)))
@@ -300,72 +358,100 @@ func Encode(schema *Schema, rec Record) ([]byte, error) {
 		w.u8(uint8(f.Kind))
 	}
 	for _, f := range schema.Fields {
-		v, ok := rec[f.Name]
-		if !ok {
-			return nil, fmt.Errorf("ffs: record missing field %q", f.Name)
-		}
-		if err := encodeValue(w, f, v); err != nil {
-			return nil, err
-		}
+		encodeValue(&w, f.Kind, rec[f.Name])
 	}
 	return w.buf, nil
 }
 
-func encodeValue(w *writer, f Field, v any) error {
-	mismatch := func() error {
-		return fmt.Errorf("ffs: field %q expects %s, got %T", f.Name, f.Kind, v)
+// Size returns the length of Encode(schema, rec), or the error Encode
+// would return: a missing field, a value of the wrong type, or an
+// inconsistent array.
+func Size(schema *Schema, rec Record) (int, error) {
+	n := 4 + 4 + len(schema.Name) + 4
+	for _, f := range schema.Fields {
+		n += 4 + len(f.Name) + 1
 	}
+	for _, f := range schema.Fields {
+		v, ok := rec[f.Name]
+		if !ok {
+			return 0, fmt.Errorf("ffs: record missing field %q", f.Name)
+		}
+		m, err := valueSize(f, v)
+		if err != nil {
+			return 0, err
+		}
+		n += m
+	}
+	return n, nil
+}
+
+// valueSize type-checks one field value and returns its encoded length.
+func valueSize(f Field, v any) (int, error) {
+	ok := false
+	n := 0
 	switch f.Kind {
 	case KindInt64:
-		x, ok := v.(int64)
-		if !ok {
-			return mismatch()
-		}
-		w.i64(x)
+		_, ok = v.(int64)
+		n = 8
 	case KindUint64:
-		x, ok := v.(uint64)
-		if !ok {
-			return mismatch()
-		}
-		w.u64(x)
+		_, ok = v.(uint64)
+		n = 8
 	case KindFloat64:
-		x, ok := v.(float64)
-		if !ok {
-			return mismatch()
-		}
-		w.f64(x)
+		_, ok = v.(float64)
+		n = 8
 	case KindString:
-		x, ok := v.(string)
-		if !ok {
-			return mismatch()
-		}
-		w.str(x)
+		var x string
+		x, ok = v.(string)
+		n = 4 + len(x)
 	case KindBytes:
-		x, ok := v.([]byte)
-		if !ok {
-			return mismatch()
-		}
-		w.bytes(x)
+		var x []byte
+		x, ok = v.([]byte)
+		n = 4 + len(x)
 	case KindInt64Slice:
-		x, ok := v.([]int64)
-		if !ok {
-			return mismatch()
-		}
-		w.i64s(x)
+		var x []int64
+		x, ok = v.([]int64)
+		n = 8 + 8*len(x)
 	case KindFloat64Slice:
-		x, ok := v.([]float64)
-		if !ok {
-			return mismatch()
-		}
-		w.f64s(x)
+		var x []float64
+		x, ok = v.([]float64)
+		n = 8 + 8*len(x)
 	case KindArray:
-		a, ok := v.(*Array)
-		if !ok {
-			return mismatch()
+		var a *Array
+		if a, ok = v.(*Array); !ok {
+			break
 		}
 		if err := a.Validate(); err != nil {
-			return fmt.Errorf("field %q: %w", f.Name, err)
+			return 0, fmt.Errorf("field %q: %w", f.Name, err)
 		}
+		n = 3*4 + 8*(len(a.Dims)+len(a.Global)+len(a.Offsets)) + 1 + 8 + 8*len(a.Float64) + 8*len(a.Int64)
+	default:
+		return 0, fmt.Errorf("ffs: field %q has unsupported kind %v", f.Name, f.Kind)
+	}
+	if !ok {
+		return 0, fmt.Errorf("ffs: field %q expects %s, got %T", f.Name, f.Kind, v)
+	}
+	return n, nil
+}
+
+// encodeValue writes one value that valueSize accepted.
+func encodeValue(w *writer, kind Kind, v any) {
+	switch kind {
+	case KindInt64:
+		w.u64(uint64(v.(int64)))
+	case KindUint64:
+		w.u64(v.(uint64))
+	case KindFloat64:
+		w.u64(math.Float64bits(v.(float64)))
+	case KindString:
+		w.str(v.(string))
+	case KindBytes:
+		w.bytes(v.([]byte))
+	case KindInt64Slice:
+		w.i64s(v.([]int64))
+	case KindFloat64Slice:
+		w.f64s(v.([]float64))
+	case KindArray:
+		a := v.(*Array)
 		w.u64s(a.Dims)
 		w.u64s(a.Global)
 		w.u64s(a.Offsets)
@@ -376,10 +462,7 @@ func encodeValue(w *writer, f Field, v any) error {
 			w.u8(2)
 			w.i64s(a.Int64)
 		}
-	default:
-		return fmt.Errorf("ffs: field %q has unsupported kind %v", f.Name, f.Kind)
 	}
-	return nil
 }
 
 // Decode parses a self-describing buffer produced by Encode, returning the

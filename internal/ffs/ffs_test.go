@@ -1,6 +1,8 @@
 package ffs
 
 import (
+	"bytes"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"strings"
@@ -281,6 +283,7 @@ func BenchmarkEncode1MParticleChunk(b *testing.B) {
 	data := make([]float64, 1<<17)
 	rec := Record{"arr": &Array{Dims: []uint64{1 << 17}, Float64: data}}
 	b.SetBytes(int64(len(data) * 8))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Encode(schema, rec); err != nil {
@@ -297,10 +300,130 @@ func BenchmarkDecode1MParticleChunk(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data) * 8))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Decode(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// goldenSchema and goldenRecord cover every field kind, with the float
+// edge cases (-0, +Inf, a subnormal, MaxFloat64) and both array payloads.
+func goldenSchema() *Schema {
+	return &Schema{Name: "golden", Fields: []Field{
+		{Name: "i", Kind: KindInt64},
+		{Name: "u", Kind: KindUint64},
+		{Name: "f", Kind: KindFloat64},
+		{Name: "s", Kind: KindString},
+		{Name: "b", Kind: KindBytes},
+		{Name: "is", Kind: KindInt64Slice},
+		{Name: "fs", Kind: KindFloat64Slice},
+		{Name: "ga", Kind: KindArray},
+		{Name: "la", Kind: KindArray},
+	}}
+}
+
+func goldenRecord() Record {
+	return Record{
+		"i":  int64(-7),
+		"u":  uint64(1) << 40,
+		"f":  math.Pi,
+		"s":  "particles",
+		"b":  []byte{0xde, 0xad, 0xbe, 0xef},
+		"is": []int64{-1, 0, math.MaxInt64},
+		"fs": []float64{math.Copysign(0, -1), math.Inf(1), 1e-310},
+		"ga": &Array{Dims: []uint64{2, 2}, Global: []uint64{4, 2}, Offsets: []uint64{2, 0},
+			Float64: []float64{1.5, -2.5, 3.25, math.MaxFloat64}},
+		"la": &Array{Dims: []uint64{3}, Int64: []int64{math.MinInt64, 42, -42}},
+	}
+}
+
+// goldenHex is Encode(goldenSchema(), goldenRecord()) as the
+// element-at-a-time encoder wrote it. Encoded chunks cross the fabric,
+// the journal and checkpoints, so these bytes may not drift.
+const goldenHex = "3153464606000000676f6c64656e09000000010000006901010000007502010000006603010000007304010000006205020000006973060200000066730702000000676108020000006c6108f9ffffffffffffff0000000000010000182d4454fb210940090000007061727469636c657304000000deadbeef0300000000000000ffffffffffffffff0000000000000000ffffffffffffff7f03000000000000000000000000000080000000000000f07f2be6708b68120000020000000200000000000000020000000000000002000000040000000000000002000000000000000200000002000000000000000000000000000000010400000000000000000000000000f83f00000000000004c00000000000000a40ffffffffffffef7f010000000300000000000000000000000000000002030000000000000000000000000000802a00000000000000d6ffffffffffffff"
+
+func TestEncodeWireFormatIsStable(t *testing.T) {
+	want, err := hex.DecodeString(goldenHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Encode(goldenSchema(), goldenRecord())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Encode = %x\nwant     %x", got, want)
+	}
+	if n, err := Size(goldenSchema(), goldenRecord()); err != nil || n != len(want) {
+		t.Fatalf("Size = %d, %v; want %d", n, err, len(want))
+	}
+	if _, rec, err := Decode(want); err != nil || !reflect.DeepEqual(rec, goldenRecord()) {
+		t.Fatalf("Decode(golden) = %v, %v", rec, err)
+	}
+}
+
+// TestAppendKeepsPrefix: Append writes after what dst holds, leaves the
+// prefix alone, grows at most once and returns dst untouched on error.
+func TestAppendKeepsPrefix(t *testing.T) {
+	want, err := Encode(goldenSchema(), goldenRecord())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("HEADER")
+	dst := make([]byte, len(prefix), len(prefix)+len(want))
+	copy(dst, prefix)
+	got, err := Append(dst, goldenSchema(), goldenRecord())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("Append = %x", got)
+	}
+	if &got[0] != &dst[0] {
+		t.Fatal("Append reallocated a buffer that had room")
+	}
+	bad := goldenRecord()
+	bad["u"] = "not a uint64"
+	if out, err := Append(prefix, goldenSchema(), bad); err == nil || !bytes.Equal(out, prefix) {
+		t.Fatalf("Append of a bad record = %x, %v", out, err)
+	}
+}
+
+// TestEncodeAllocatesOnce: Encode sizes its buffer exactly, so a
+// one-array record costs one allocation however large the array.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	schema := &Schema{Name: "p", Fields: []Field{{Name: "arr", Kind: KindArray}}}
+	rec := Record{"arr": &Array{Dims: []uint64{1 << 14, 8}, Float64: make([]float64, 8<<14)}}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := Encode(schema, rec); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("Encode made %v allocations, want 1", n)
+	}
+}
+
+// oversizedLength is a valid one-field buffer whose float64 slice claims
+// 2^40 elements but carries one.
+func oversizedLength() []byte {
+	buf, err := Encode(&Schema{Name: "x", Fields: []Field{{Name: "fs", Kind: KindFloat64Slice}}},
+		Record{"fs": []float64{1}})
+	if err != nil {
+		panic(err)
+	}
+	// The length field sits right before the single 8-byte element.
+	copy(buf[len(buf)-16:], []byte{0, 0, 0, 0, 0, 1, 0, 0})
+	return buf
+}
+
+// TestDecodeRejectsOversizedLength: a length field larger than the
+// buffer is an error found before the slice is allocated — allocating
+// 2^40 float64s would abort the process.
+func TestDecodeRejectsOversizedLength(t *testing.T) {
+	if _, _, err := Decode(oversizedLength()); err == nil || !strings.Contains(err.Error(), "exceeds buffer") {
+		t.Fatalf("Decode of an oversized float64 length: %v", err)
 	}
 }

@@ -28,6 +28,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x31, 0x53, 0x46, 0x46}) // magic only
 	f.Add(valid[:len(valid)/2])
+	f.Add(oversizedLength())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _, _ = Decode(data)
 		_, _ = DecodeSchema(data)

@@ -35,13 +35,27 @@ func sum(payloadCRC uint32, hdr []byte) uint32 {
 // Seal returns magic followed by one frame of hdr and payload, in a
 // fresh buffer; neither input is retained.
 func Seal(magic string, hdr, payload []byte) []byte {
-	out := make([]byte, len(magic)+len(hdr)+Overhead+len(payload))
-	n := copy(out, magic)
-	n += copy(out[n:], hdr)
-	binary.LittleEndian.PutUint32(out[n:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[n+4:], sum(crc32.ChecksumIEEE(payload), hdr))
-	copy(out[n+Overhead:], payload)
-	return out
+	return Finish(magic, len(hdr), append(Reserve(magic, hdr, len(payload)), payload...))
+}
+
+// Reserve starts a single frame for a payload the caller appends in
+// place: it returns magic, hdr and room for the length and CRC, with
+// capacity for n payload bytes. Finish completes the frame.
+func Reserve(magic string, hdr []byte, n int) []byte {
+	buf := make([]byte, len(magic)+len(hdr)+Overhead, len(magic)+len(hdr)+Overhead+n)
+	copy(buf[copy(buf, magic):], hdr)
+	return buf
+}
+
+// Finish fills in the length and CRC of a frame built on Reserve's
+// buffer, whose payload is everything past the hdrLen-byte header,
+// and returns buf.
+func Finish(magic string, hdrLen int, buf []byte) []byte {
+	n := len(magic) + hdrLen
+	payload := buf[n+Overhead:]
+	binary.LittleEndian.PutUint32(buf[n:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[n+4:], sum(crc32.ChecksumIEEE(payload), buf[len(magic):n]))
+	return buf
 }
 
 // Open verifies a Sealed frame with an hdrLen-byte header, returning
@@ -78,6 +92,7 @@ type Writer struct {
 	records, bytes int64
 	busy           time.Duration
 	closed         bool
+	ahead, unsent  int64 // SyncAhead's interval, and bytes appended since its last kick
 }
 
 // NewWriter starts a stream of frames with hdrLen-byte headers on the
@@ -99,6 +114,18 @@ func OpenStream(path, magic string, hdrLen int) (*Writer, error) {
 		return nil, err
 	}
 	return w, nil
+}
+
+// SyncAhead makes Append start the device writeback of the file after
+// every n appended bytes, without waiting for it, so that the next Sync
+// finds most of the stream on disk instead of writing all of it while
+// the caller waits. It suits a stream synced on a schedule, like a
+// journal; a stream read back before any sync, like a spill segment,
+// is better left to the page cache. n <= 0 turns it off.
+func (w *Writer) SyncAhead(n int64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.ahead, w.unsent = n, 0
 }
 
 // Append frames one record, allocating nothing, and returns its frame
@@ -130,6 +157,10 @@ func (w *Writer) Append(hdr, payload []byte, payloadCRC uint32) (uint32, error) 
 	}
 	w.records++
 	w.bytes += int64(len(payload))
+	if w.unsent += int64(len(w.scratch) + len(payload)); w.ahead > 0 && w.unsent >= w.ahead {
+		w.unsent = 0
+		startWriteback(w.f)
+	}
 	w.busy += time.Since(start)
 	return crc, nil
 }

@@ -214,3 +214,36 @@ func TestCompactDropsSelectedFrames(t *testing.T) {
 		t.Fatalf("after compaction and reopen: %v, torn=%v, err=%v", got, torn, err)
 	}
 }
+
+// TestSyncAheadKeepsTheStream checks that starting writeback on every
+// append allocates nothing, survives a Compact swapping the file, and
+// leaves every frame readable.
+func TestSyncAheadKeepsTheStream(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream")
+	w, err := OpenStream(path, testMagic, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SyncAhead(1)
+	payload := bytes.Repeat([]byte{7}, 5000)
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := w.Append([]byte{1}, payload, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Append with SyncAhead allocates %.1f times per record", n)
+	}
+	if kept, err := w.Compact(func(hdr []byte) bool { return false }); err != nil || kept != 21 {
+		t.Fatalf("Compact kept %d, err %v", kept, err)
+	}
+	if _, err := w.Append([]byte{2}, payload, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(w.Sync(), w.Close()); err != nil {
+		t.Fatal(err)
+	}
+	got, _, torn, err := scanAll(t, path, 1)
+	if err != nil || torn || len(got) != 22 || got[21][0][0] != 2 || !bytes.Equal(got[21][1], payload) {
+		t.Fatalf("read back %d frames, torn=%v, err=%v", len(got), torn, err)
+	}
+}

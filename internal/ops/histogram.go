@@ -114,9 +114,6 @@ func (h *HistogramOperator) Map(ctx *staging.Context, chunk *staging.Chunk) erro
 		return err
 	}
 	h.mu.Lock()
-	if h.step == 0 {
-		h.step = chunk.Timestep
-	}
 	ranges := h.ranges
 	h.mu.Unlock()
 	for tag, c := range h.cfg.Columns {
@@ -128,9 +125,33 @@ func (h *HistogramOperator) Map(ctx *staging.Context, chunk *staging.Chunk) erro
 		for row := 0; row < rows; row++ {
 			counts[binOf(arr.Float64[row*k+c], r, h.cfg.Bins)]++
 		}
-		ctx.Emit(tag, counts)
+		ctx.Emit(tag, binCounts{Step: chunk.Timestep, Counts: counts})
 	}
 	return nil
+}
+
+// binCounts is the histograms' shuffle value: one histogram's bin
+// counts and the dump's timestep, so the rank owning the histogram
+// files its output under the dump even if it mapped no chunk itself.
+type binCounts struct {
+	Step   int64
+	Counts []int64
+}
+
+// sumBinCounts adds up values, each a binCounts of n bins.
+func sumBinCounts(values []any, n int) (binCounts, error) {
+	sum := binCounts{Counts: make([]int64, n)}
+	for _, v := range values {
+		b, ok := v.(binCounts)
+		if !ok || len(b.Counts) != n {
+			return binCounts{}, fmt.Errorf("bad value %T", v)
+		}
+		sum.Step = b.Step
+		for i, c := range b.Counts {
+			sum.Counts[i] += c
+		}
+	}
+	return sum, nil
 }
 
 // Combine sums the local count vectors per column before the shuffle.
@@ -138,15 +159,9 @@ func (h *HistogramOperator) Combine(tag int, values []any) ([]any, error) {
 	if len(values) <= 1 {
 		return values, nil
 	}
-	sum := make([]int64, h.cfg.Bins)
-	for _, v := range values {
-		counts, ok := v.([]int64)
-		if !ok || len(counts) != h.cfg.Bins {
-			return nil, fmt.Errorf("ops: histogram combine: bad value %T", v)
-		}
-		for i, n := range counts {
-			sum[i] += n
-		}
+	sum, err := sumBinCounts(values, h.cfg.Bins)
+	if err != nil {
+		return nil, fmt.Errorf("ops: histogram combine: %w", err)
 	}
 	return []any{sum}, nil
 }
@@ -156,18 +171,13 @@ func (h *HistogramOperator) Reduce(ctx *staging.Context, tag int, values []any) 
 	if tag < 0 || tag >= len(h.cfg.Columns) {
 		return fmt.Errorf("ops: histogram reduce got tag %d", tag)
 	}
-	sum := make([]int64, h.cfg.Bins)
-	for _, v := range values {
-		counts, ok := v.([]int64)
-		if !ok || len(counts) != h.cfg.Bins {
-			return fmt.Errorf("ops: histogram reduce: bad value %T", v)
-		}
-		for i, n := range counts {
-			sum[i] += n
-		}
+	sum, err := sumBinCounts(values, h.cfg.Bins)
+	if err != nil {
+		return fmt.Errorf("ops: histogram reduce: %w", err)
 	}
 	h.mu.Lock()
-	h.counts[h.cfg.Columns[tag]] = sum
+	h.counts[h.cfg.Columns[tag]] = sum.Counts
+	h.step = sum.Step
 	h.mu.Unlock()
 	return nil
 }

@@ -97,9 +97,6 @@ func (h *Histogram2DOperator) Map(ctx *staging.Context, chunk *staging.Chunk) er
 		return err
 	}
 	h.mu.Lock()
-	if h.step == 0 {
-		h.step = chunk.Timestep
-	}
 	ranges := h.ranges
 	h.mu.Unlock()
 	bins := h.cfg.Bins
@@ -114,7 +111,7 @@ func (h *Histogram2DOperator) Map(ctx *staging.Context, chunk *staging.Chunk) er
 			by := binOf(arr.Float64[row*k+p[1]], ry, bins)
 			counts[bx*bins+by]++
 		}
-		ctx.Emit(tag, counts)
+		ctx.Emit(tag, binCounts{Step: chunk.Timestep, Counts: counts})
 	}
 	return nil
 }
@@ -124,15 +121,9 @@ func (h *Histogram2DOperator) Combine(tag int, values []any) ([]any, error) {
 	if len(values) <= 1 {
 		return values, nil
 	}
-	sum := make([]int64, h.cfg.Bins*h.cfg.Bins)
-	for _, v := range values {
-		counts, ok := v.([]int64)
-		if !ok || len(counts) != len(sum) {
-			return nil, fmt.Errorf("ops: 2D histogram combine: bad value %T", v)
-		}
-		for i, n := range counts {
-			sum[i] += n
-		}
+	sum, err := sumBinCounts(values, h.cfg.Bins*h.cfg.Bins)
+	if err != nil {
+		return nil, fmt.Errorf("ops: 2D histogram combine: %w", err)
 	}
 	return []any{sum}, nil
 }
@@ -142,18 +133,13 @@ func (h *Histogram2DOperator) Reduce(ctx *staging.Context, tag int, values []any
 	if tag < 0 || tag >= len(h.cfg.Pairs) {
 		return fmt.Errorf("ops: 2D histogram reduce got tag %d", tag)
 	}
-	sum := make([]int64, h.cfg.Bins*h.cfg.Bins)
-	for _, v := range values {
-		counts, ok := v.([]int64)
-		if !ok || len(counts) != len(sum) {
-			return fmt.Errorf("ops: 2D histogram reduce: bad value %T", v)
-		}
-		for i, n := range counts {
-			sum[i] += n
-		}
+	sum, err := sumBinCounts(values, h.cfg.Bins*h.cfg.Bins)
+	if err != nil {
+		return fmt.Errorf("ops: 2D histogram reduce: %w", err)
 	}
 	h.mu.Lock()
-	h.counts[h.cfg.Pairs[tag]] = sum
+	h.counts[h.cfg.Pairs[tag]] = sum.Counts
+	h.step = sum.Step
 	h.mu.Unlock()
 	return nil
 }

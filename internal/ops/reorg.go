@@ -64,17 +64,11 @@ func (o *ReorgOperator) Initialize(ctx *staging.Context, agg map[string]any) err
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.merged = make(map[string]*ffs.Array, len(o.cfg.Vars))
-	o.step = 0
 	return nil
 }
 
 // Map emits each variable's partial chunk under the variable's tag.
 func (o *ReorgOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
-	o.mu.Lock()
-	if o.step == 0 {
-		o.step = chunk.Timestep
-	}
-	o.mu.Unlock()
 	for _, name := range o.cfg.Vars {
 		v, ok := chunk.Record[name]
 		if !ok {
@@ -90,9 +84,17 @@ func (o *ReorgOperator) Map(ctx *staging.Context, chunk *staging.Chunk) error {
 		if arr.Float64 == nil {
 			return fmt.Errorf("ops: variable %q is not a float64 array", name)
 		}
-		ctx.Emit(o.varIdx[name], arr)
+		ctx.Emit(o.varIdx[name], partialChunk{Step: chunk.Timestep, Array: arr})
 	}
 	return nil
+}
+
+// partialChunk is the reorg shuffle value: one partial chunk of a
+// global array and the dump's timestep, so the rank owning the variable
+// files the merged array under the dump even if it mapped no chunk.
+type partialChunk struct {
+	Step int64
+	*ffs.Array
 }
 
 // Reduce assembles one variable's contiguous global array from its
@@ -103,8 +105,10 @@ func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) erro
 	}
 	name := o.cfg.Vars[tag]
 	var global []uint64
+	var step int64
 	for _, v := range values {
-		arr := v.(*ffs.Array)
+		arr := v.(partialChunk)
+		step = arr.Step
 		if global == nil {
 			global = arr.Global
 		} else if !dimsEqual(global, arr.Global) {
@@ -122,7 +126,7 @@ func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) erro
 	out := make([]float64, n)
 	var covered uint64
 	for _, v := range values {
-		arr := v.(*ffs.Array)
+		arr := v.(partialChunk)
 		scatterRows(out, global, arr.Float64, arr.Dims, arr.Offsets)
 		covered += arr.Elems()
 	}
@@ -132,6 +136,7 @@ func (o *ReorgOperator) Reduce(ctx *staging.Context, tag int, values []any) erro
 	o.mu.Lock()
 	o.merged[name] = &ffs.Array{Dims: global, Global: global,
 		Offsets: make([]uint64, len(global)), Float64: out}
+	o.step = step
 	o.mu.Unlock()
 	return nil
 }

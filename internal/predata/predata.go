@@ -218,14 +218,13 @@ func (c *Client) Write(schema *ffs.Schema, rec ffs.Record, timestep int64) (time
 	}
 	full[fieldRank] = int64(c.cfg.WriterRank)
 	full[fieldTimestep] = timestep
-	enc, err := ffs.Encode(packed, full)
-	if err != nil {
-		return 0, fmt.Errorf("predata: pack: %w", err)
-	}
 	// Seal at encode: the CRC frame travels through the fabric untouched
 	// and is verified on the staging side before anything reduces the
 	// chunk, so corruption anywhere along the path is caught end to end.
-	buf := staging.Seal(enc)
+	buf, err := staging.SealRecord(packed, full)
+	if err != nil {
+		return 0, fmt.Errorf("predata: pack: %w", err)
+	}
 	c.cfg.Endpoint.SetEpoch(timestep)
 	h := c.cfg.Endpoint.Expose(buf)
 	pool, active, err := c.views.view(timestep)

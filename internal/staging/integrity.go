@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 
+	"predata/internal/ffs"
 	"predata/internal/frame"
 )
 
@@ -26,6 +27,21 @@ const sealMagic = "PDCHNK1\n"
 // receiver can verify the delivery end-to-end. The input is not
 // retained or mutated.
 func Seal(payload []byte) []byte { return frame.Seal(sealMagic, nil, payload) }
+
+// SealRecord encodes rec under schema straight into a sealed chunk:
+// the bytes equal Seal(ffs.Encode(schema, rec)), built in one buffer
+// of their exact size with no payload copy.
+func SealRecord(schema *ffs.Schema, rec ffs.Record) ([]byte, error) {
+	n, err := ffs.Size(schema, rec)
+	if err != nil {
+		return nil, err
+	}
+	buf, err := ffs.Append(frame.Reserve(sealMagic, nil, n), schema, rec)
+	if err != nil {
+		return nil, err
+	}
+	return frame.Finish(sealMagic, 0, buf), nil
+}
 
 // Sealed reports whether buf starts with a seal frame header.
 func Sealed(buf []byte) bool {

@@ -29,6 +29,10 @@ const (
 	headerSize       = recordHeader + frame.Overhead
 	checkpointHeader = 8 + 8    // epoch i64 | next dump i64
 	maxRecord        = 64 << 20 // no real chunk approaches 64 MB
+	// syncAhead is how many appended bytes start their writeback ahead
+	// of the commit fsync (frame.Writer.SyncAhead): a dump's chunks go
+	// to disk while it is reduced, and the fsync waits for the rest.
+	syncAhead = 256 << 10
 )
 
 // ErrCorrupt marks a file that is not a journal or checkpoint at all
@@ -80,6 +84,7 @@ func Open(dir string) (*Log, error) {
 	if err != nil {
 		return nil, journalErr(path, err)
 	}
+	fw.SyncAhead(syncAhead)
 	return &Log{dir: dir, path: path, fw: fw}, nil
 }
 
